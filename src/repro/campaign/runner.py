@@ -15,9 +15,10 @@ shards the same campaigns across a worker pool.  Both paths funnel through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Sequence
 
+from repro.core import clock
 from repro.core.tg import TestGenerator, TGStatus
 from repro.errors.models import DesignError
 from repro.model.processor import Processor
@@ -66,21 +67,29 @@ class ErrorOutcome:
     backjumps: int = 0
     clause_hits: int = 0
     refuted_unjustifiable: int = 0
-    #: Luby restarts taken by restart-capable CTRLJUST searches (always 0
-    #: with the ``restarts`` knob off).
-    restarts: int = 0
-    #: CPU seconds this error actually consumed (``time.process_time``
+    #: CPU seconds this error actually consumed (:mod:`repro.core.clock`
     #: delta around TG + realization + ISA check), next to the wall-clock
-    #: ``seconds`` — what the deadline bank's deposits are computed from.
+    #: ``seconds``.
     cpu_seconds: float = 0.0
-    #: The CPU deadline this error ran under (base deadline, or base +
-    #: banked grant on a re-queued attempt) — makes banking decisions
-    #: auditable from the ``--json`` run report.
-    deadline_grant: float = 0.0
     #: The TG abort was forced by the CPU deadline: the outcome is
-    #: time-bound (taint) — never deposits to the deadline bank, and is
-    #: the re-queue trigger when banking is on.
+    #: time-bound (taint) and nothing was learned from it.
     deadline_hit: bool = False
+
+
+_OUTCOME_FIELDS = frozenset(f.name for f in fields(ErrorOutcome))
+
+
+def outcome_from_dict(data: dict[str, Any]) -> ErrorOutcome:
+    """Rebuild an outcome from its ``vars()`` dictionary (checkpoint
+    lines, run reports, worker replies).
+
+    Keys that are not outcome fields are dropped: checkpoints and reports
+    written by earlier releases carry counters of retired search layers,
+    and they must still load and resume.
+    """
+    return ErrorOutcome(**{
+        key: value for key, value in data.items() if key in _OUTCOME_FIELDS
+    })
 
 
 @dataclass
@@ -93,10 +102,6 @@ class CampaignReport:
     #: before the error list was exhausted; the outcomes cover only the
     #: completed prefix.
     interrupted: bool = False
-    #: Deadline-bank accounting (see ``repro.campaign.banking``); present
-    #: only when the orchestrator ran with ``deadline_bank=True``, so
-    #: knobs-off report dictionaries keep their exact historical shape.
-    bank: dict | None = None
 
     @property
     def n_errors(self) -> int:
@@ -177,7 +182,6 @@ def _outcome_from_result(error: DesignError, result) -> ErrorOutcome:
         backjumps=result.backjumps,
         clause_hits=result.clause_hits,
         refuted_unjustifiable=result.refuted_unjustifiable,
-        restarts=result.restarts,
         deadline_hit=result.deadline_hit,
     )
 
@@ -362,10 +366,9 @@ class DlxCampaign(CampaignBase):
         from repro.dlx.realize import RealizationError, realize
 
         start = time.monotonic()
-        cpu_start = time.process_time()
+        cpu_start = clock.cpu_time()
         result = self.generator.generate(error)
         outcome = _outcome_from_result(error, result)
-        outcome.deadline_grant = self.generator.deadline_seconds or 0.0
         realized = None
         if result.status is not TGStatus.DETECTED:
             outcome.failure_stage = "tg"
@@ -387,7 +390,7 @@ class DlxCampaign(CampaignBase):
                 else:
                     outcome.failure_stage = "isa-check"
                     realized = None
-        outcome.cpu_seconds = time.process_time() - cpu_start
+        outcome.cpu_seconds = clock.cpu_time() - cpu_start
         outcome.seconds = time.monotonic() - start
         return outcome, realized
 
@@ -456,10 +459,9 @@ class MiniCampaign(CampaignBase):
         from repro.mini.realize import RealizationError, realize
 
         start = time.monotonic()
-        cpu_start = time.process_time()
+        cpu_start = clock.cpu_time()
         result = self.generator.generate(error)
         outcome = _outcome_from_result(error, result)
-        outcome.deadline_grant = self.generator.deadline_seconds or 0.0
         realized = None
         if result.status is not TGStatus.DETECTED:
             outcome.failure_stage = "tg"
@@ -481,7 +483,7 @@ class MiniCampaign(CampaignBase):
                 else:
                     outcome.failure_stage = "isa-check"
                     realized = None
-        outcome.cpu_seconds = time.process_time() - cpu_start
+        outcome.cpu_seconds = clock.cpu_time() - cpu_start
         outcome.seconds = time.monotonic() - start
         return outcome, realized
 

@@ -22,11 +22,11 @@ value)`` objectives that guide CTRLJUST (Figure 4).
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
+from repro.core import clock
 from repro.core.costates import CState, OState
 from repro.datapath.module import Module, ModuleClass
 from repro.datapath.modules import MuxModule, RegisterModule
@@ -107,8 +107,8 @@ class DPTrace:
         #: re-sweeping the window per iteration.  ``False`` keeps
         #: ``analyzer.compute`` as the reference oracle.
         self.incremental = incremental
-        #: Absolute ``time.process_time()`` budget; the search returns a
-        #: (non-cacheable) FAILURE promptly once it passes.
+        #: Absolute :func:`repro.core.clock.cpu_time` budget; the search
+        #: returns a (non-cacheable) FAILURE promptly once it passes.
         self.deadline = deadline
         #: Loop iterations served by the session instead of a full sweep.
         self.sweeps_avoided = 0
@@ -152,7 +152,7 @@ class DPTrace:
         while True:
             if (
                 self.deadline is not None
-                and time.process_time() > self.deadline
+                and clock.cpu_time() > self.deadline
             ):
                 return TraceResult(TraceStatus.FAILURE, backtracks=backtracks,
                                    decisions=decision_count,
@@ -201,7 +201,7 @@ class DPTrace:
                 while stack:
                     if (
                         self.deadline is not None
-                        and time.process_time() > self.deadline
+                        and clock.cpu_time() > self.deadline
                     ):
                         return TraceResult(
                             TraceStatus.FAILURE, backtracks=backtracks,

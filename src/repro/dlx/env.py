@@ -175,11 +175,14 @@ class DlxEnv:
                     position = ex_at_resolution + 1
                 elif not stalled:
                     imm_in_id = instruction.imm
+                    # A predicted-taken branch skips its two shadow slots,
+                    # unless it is itself squashed on its way into ID (in
+                    # the shadow of a jump or a misprediction).
                     predicted_taken = (
                         ctl.get("pred") == 1
                         and instruction.op in ("BEQZ", "BNEZ")
+                        and ctl.get("if_id_clear") != 1
                     )
-                    # A predicted-taken branch skips its two shadow slots.
                     position += 3 if predicted_taken else 1
             else:
                 if not stalled:

@@ -251,6 +251,7 @@ class BatchDlxEnv:
                         predicted_taken = (
                             ctl.get("pred") == 1
                             and instruction.op in ("BEQZ", "BNEZ")
+                            and ctl.get("if_id_clear") != 1
                         )
                         position[b] += 3 if predicted_taken else 1
                 else:

@@ -202,8 +202,6 @@ def campaign_config_from_request(
             checkpoint_path=checkpoint_path,
             resume=resume,
             profile=bool(request.get("profile", False)),
-            restarts=bool(request.get("restarts", False)),
-            deadline_bank=bool(request.get("deadline_bank", False)),
         )
     except ValueError as exc:
         raise HttpError(400, str(exc)) from None

@@ -5,9 +5,11 @@ orchestration itself: serial equivalence, shard merging, coordinator-side
 fault dropping, checkpoint/resume, and the emitted event stream.
 """
 
+import json
+
 import pytest
 
-from repro.campaign import MiniCampaign
+from repro.campaign import DlxCampaign, MiniCampaign
 from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.events import EventLog, EventStream
 from repro.campaign.orchestrator import (
@@ -60,6 +62,15 @@ def test_build_campaign_targets():
         build_campaign("z80", 10.0)
 
 
+def _effort_signature(report):
+    """Per-error outcome plus effort, in report order."""
+    return [
+        (o.error, o.detected, o.test_length, o.failure_stage, o.dropped_by,
+         o.deadline_hit, o.backtracks, o.final_backtracks, o.attempts)
+        for o in report.outcomes
+    ]
+
+
 def test_serial_orchestration_matches_classic_driver():
     classic = MiniCampaign(deadline_seconds=10.0).run(ERRORS)
     orchestrated = CampaignOrchestrator(_mini_config(jobs=1)).run(ERRORS)
@@ -67,6 +78,18 @@ def test_serial_orchestration_matches_classic_driver():
         o.error for o in classic.outcomes
     ]
     assert _signature(orchestrated) == _signature(classic)
+
+    # A DLX slice with fault dropping: a detection, a drop pair and an
+    # abort, each with the same effort counters through either driver.
+    dlx = DlxCampaign(deadline_seconds=10.0)
+    errors = dlx.default_errors()[::48]
+    classic = dlx.run(errors, error_simulation=True)
+    orchestrated = CampaignOrchestrator(OrchestratorConfig(
+        target="dlx", jobs=1, deadline_seconds=10.0, error_simulation=True,
+    )).run(errors)
+    assert not any(o.deadline_hit for o in classic.outcomes)
+    assert any(o.dropped_by for o in classic.outcomes)
+    assert _effort_signature(orchestrated) == _effort_signature(classic)
 
 
 def test_parallel_matches_serial_counts():
@@ -144,10 +167,14 @@ def test_resume_skips_completed_and_reproduces_report(tmp_path):
         _mini_config(jobs=1, checkpoint_path=path)
     ).run(ERRORS)
 
-    # Simulate a killed run: keep only the first two checkpoint records.
+    # Simulate a killed run: keep only the first two checkpoint records,
+    # the first as the previous release wrote it, with the counters of
+    # its since-retired restart search and deadline bank.
     lines = open(path).read().splitlines()
+    parent = json.loads(lines[0])
+    parent["outcome"].update(restarts=0, deadline_grant=10.0)
     with open(path, "w") as handle:
-        handle.write("\n".join(lines[:2]) + "\n")
+        handle.write("\n".join([json.dumps(parent), lines[1]]) + "\n")
 
     events = EventStream()
     log = EventLog()
@@ -254,9 +281,8 @@ def test_interrupt_parallel_run_leaves_tail_unattempted(tmp_path):
 def test_worker_entry_points_in_process():
     """The pool worker functions themselves, run in-process."""
     _worker_init("mini", 10.0)
-    (index, outcome_dict, test, learned, learned_clauses,
-     learned_activity) = _worker_run(
-        (7, ERRORS[0], [], [], [], 0.0)
+    index, outcome_dict, test, learned, learned_clauses = _worker_run(
+        (7, ERRORS[0], [], [])
     )
     assert index == 7
     assert outcome_dict["detected"]
@@ -265,7 +291,6 @@ def test_worker_entry_points_in_process():
     assert len(test["program"]) == outcome_dict["test_length"]
     assert isinstance(learned, list)
     assert isinstance(learned_clauses, list)
-    assert isinstance(learned_activity, list)
 
 
 def test_campaign_run_to_dict_shape():

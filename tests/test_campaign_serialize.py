@@ -88,6 +88,12 @@ def test_report_roundtrip():
     assert rebuilt.outcomes[0].final_backtracks == 2
     assert rebuilt.table1() == report.table1()
 
+    # Reports of the previous release carry counters of its since-retired
+    # restart search and deadline bank; they still load.
+    data = report_to_dict(report)
+    data["outcomes"][0].update(restarts=0, deadline_grant=10.0)
+    assert report_from_dict(data).table1() == report.table1()
+
 
 def test_report_roundtrip_with_dropped_outcomes():
     """A report containing fault-dropped outcomes survives the round trip

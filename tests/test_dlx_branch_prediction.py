@@ -120,6 +120,22 @@ def test_back_to_back_branches(dlx_bp):
     assert spec.events == [("reg", 5, 5)]
 
 
+def test_squashed_branch_does_not_skip_fetch(dlx_bp):
+    """A trained predictor must not redirect fetch for a branch that is
+    squashed in the shadow of a jump: the load after it still runs."""
+    program = [
+        Instruction("LB"),
+        Instruction("BEQZ"),                     # taken, trains the bit
+        Instruction("LB"),                       # skipped
+        Instruction("LB"),                       # skipped
+        Instruction("J"),
+        Instruction("BEQZ"),                     # jump shadow, squashed
+        Instruction("LB"),
+    ]
+    spec = check(dlx_bp, program, [0] * 32)
+    assert spec.events == [("load", 0, 0), ("load", 0, 0)]
+
+
 OPS = list(MNEMONICS.values())
 instruction_strategy = st.builds(
     Instruction,
