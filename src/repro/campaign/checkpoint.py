@@ -6,8 +6,8 @@ error was detected, the serialized realized test — so the checkpoint
 doubles as the generated verification suite.  Records are written as single
 ``write()`` calls and flushed + fsynced, so a killed run loses at most the
 record being written; :meth:`CampaignCheckpoint.load` tolerates a torn
-final line and the orchestrator's ``resume`` path skips every error the
-file already covers.
+final line, the first append to an existing file repairs it, and the
+orchestrator's ``resume`` path skips every error the file already covers.
 
 Record schema (one per line)::
 
@@ -52,6 +52,30 @@ class CheckpointRecord:
         )
 
 
+def _repair_tail(path: str) -> None:
+    """End an existing checkpoint on a record boundary before appending.
+
+    A killed run can leave a final line without its newline.  As in
+    :meth:`CampaignCheckpoint.load`, a tail that parses is a record (it
+    gets its newline); one that does not is torn (it is cut off).
+    """
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        start = data.rfind(b"\n") + 1
+        if start == len(data):
+            return
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            handle.truncate(start)
+        else:
+            handle.write(b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class CampaignCheckpoint:
     """Append-only JSONL writer for campaign checkpoint records."""
 
@@ -63,6 +87,7 @@ class CampaignCheckpoint:
     def append(self, outcome: ErrorOutcome,
                test: dict[str, Any] | None = None) -> None:
         if self._handle is None:
+            _repair_tail(self.path)
             self._handle = open(self.path, "a")
         record = CheckpointRecord(outcome=outcome, test=test)
         self._handle.write(

@@ -1,20 +1,19 @@
-"""Parallel campaign orchestration: sharded worker pool + checkpoint/resume.
+"""The campaign loop: dispatch, fault dropping, checkpoint/resume, events.
 
-Error-targeted test generation is embarrassingly parallel per error, so the
-orchestrator shards an error list across a ``multiprocessing`` worker pool:
-each worker process rebuilds the processor model once (pool initializer),
-then runs the full TG → realize → ISA-check pipeline per error and returns
-the :class:`ErrorOutcome` plus the serialized realized test.  The
-coordinator merges results as they complete, emits structured events
-(:mod:`repro.campaign.events`), appends each completed error to a JSONL
-checkpoint (:mod:`repro.campaign.checkpoint`), and — when error simulation
-is enabled — simulates every finished test against the **not-yet-dispatched
-tail** of the work list, so fault dropping composes with sharding instead
-of being silently disabled.
+Error-targeted test generation is embarrassingly parallel per error.  One
+loop (:meth:`CampaignOrchestrator._dispatch`) keeps up to ``jobs`` errors
+in flight, folds each completion into the report in submission order,
+emits structured events (:mod:`repro.campaign.events`), appends each
+completed error to a JSONL checkpoint (:mod:`repro.campaign.checkpoint`),
+and — when error simulation is enabled — simulates every finished test
+against the **not-yet-dispatched tail** of the work list (the drop step).
 
-``jobs=1`` takes the exact serial loop of ``DlxCampaign.run`` (shared via
-:func:`repro.campaign.runner.run_serial_campaign`), so single-job
-orchestration is byte-identical to the classic driver.
+Where an error runs is the only thing ``jobs`` changes.  ``jobs=1`` runs
+it in the coordinator, on the coordinator campaign's own generator.
+``jobs>1`` ships it to a ``multiprocessing`` worker pool: each worker
+rebuilds the processor model once (pool initializer), runs the same
+TG → realize → ISA-check pipeline and returns the :class:`ErrorOutcome`
+plus the serialized realized test.
 """
 
 from __future__ import annotations
@@ -22,7 +21,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
@@ -34,20 +38,26 @@ from repro.campaign.runner import (
     DlxCampaign,
     ErrorOutcome,
     MiniCampaign,
+    TG_COUNTERS,
     outcome_from_dict,
-    run_serial_campaign,
+)
+from repro.campaign.serialize import (
+    clause_records_from_wire,
+    clause_records_to_wire,
+    nogood_records_from_wire,
+    nogood_records_to_wire,
+    report_to_dict,
 )
 from repro.errors.models import DesignError
 
-CAMPAIGN_TARGETS = ("dlx", "mini")
+_CAMPAIGNS = {cls.target: cls for cls in (DlxCampaign, MiniCampaign)}
+CAMPAIGN_TARGETS = tuple(_CAMPAIGNS)
 
 
 def build_campaign(target: str, deadline_seconds: float) -> CampaignBase:
     """The campaign driver for a named test vehicle."""
-    if target == "dlx":
-        return DlxCampaign(deadline_seconds=deadline_seconds)
-    if target == "mini":
-        return MiniCampaign(deadline_seconds=deadline_seconds)
+    if target in _CAMPAIGNS:
+        return _CAMPAIGNS[target](deadline_seconds=deadline_seconds)
     raise ValueError(
         f"unknown campaign target {target!r} (expected one of "
         f"{', '.join(CAMPAIGN_TARGETS)})"
@@ -100,20 +110,11 @@ def _worker_run(item: tuple[int, DesignError, list, list]):
     learned locally since its last report (``export_records`` drains the
     fresh list; merged foreign records never re-export).
     """
-    from repro.campaign.serialize import (
-        clause_records_from_wire,
-        clause_records_to_wire,
-        nogood_records_from_wire,
-        nogood_records_to_wire,
-    )
-
     index, error, records, clause_records = item
     nogoods = _WORKER_CAMPAIGN.generator.nogoods
     clauses = _WORKER_CAMPAIGN.generator.clauses
-    if records:
-        nogoods.merge_records(nogood_records_from_wire(records))
-    if clause_records:
-        clauses.merge_records(clause_records_from_wire(clause_records))
+    nogoods.merge_records(nogood_records_from_wire(records))
+    clauses.merge_records(clause_records_from_wire(clause_records))
     outcome, realized = _WORKER_CAMPAIGN._run_error_with_test(error)
     test = None
     if realized is not None:
@@ -123,14 +124,87 @@ def _worker_run(item: tuple[int, DesignError, list, list]):
     return index, vars(outcome).copy(), test, learned, learned_clauses
 
 
+class _InProcess:
+    """``jobs=1``: each error runs in the coordinator at submit time, on
+    the coordinator campaign's own generator, so no learned records are
+    shipped.  Its exceptions propagate out of the run."""
+
+    def __init__(self, campaign: CampaignBase, serialize: bool) -> None:
+        self.campaign = campaign
+        self.serialize = serialize
+
+    def submit(self, index: int, error: DesignError) -> Future:
+        outcome, realized = self.campaign._run_error_with_test(error)
+        test = None
+        if realized is not None and self.serialize:
+            test = self.campaign.serialize_realized(realized)
+        future: Future = Future()
+        future.set_result((outcome, realized, test))
+        return future
+
+    def result(self, future: Future, error: DesignError):
+        """``(outcome, realized, serialized test)`` of a finished error."""
+        return future.result()
+
+    def close(self) -> None:
+        pass
+
+
+class _Pool:
+    """``jobs>1``: a worker pool.  Learned no-goods and refutation
+    certificates pool in the coordinator campaign's generator and fan
+    back out with each dispatch."""
+
+    def __init__(self, config: OrchestratorConfig,
+                 campaign: CampaignBase) -> None:
+        self.campaign = campaign
+        self.error_simulation = config.error_simulation
+        self.executor = ProcessPoolExecutor(
+            max_workers=config.jobs,
+            initializer=_worker_init,
+            initargs=(config.target, config.deadline_seconds),
+        )
+
+    def submit(self, index: int, error: DesignError) -> Future:
+        generator = self.campaign.generator
+        known = nogood_records_to_wire(generator.nogoods.all_records())
+        known_clauses = clause_records_to_wire(
+            generator.clauses.all_records()
+        )
+        return self.executor.submit(
+            _worker_run, (index, error, known, known_clauses)
+        )
+
+    def result(self, future: Future, error: DesignError):
+        """``(outcome, realized, serialized test)`` of a finished error;
+        ``realized`` is rebuilt only when the drop step needs it.  A lost
+        worker aborts the error, not the campaign."""
+        generator = self.campaign.generator
+        try:
+            _, outcome_dict, test, learned, clauses = future.result()
+        except Exception:
+            outcome = ErrorOutcome(
+                error=error.describe(), detected=False,
+                failure_stage="worker",
+            )
+            return outcome, None, None
+        generator.nogoods.merge_records(nogood_records_from_wire(learned))
+        generator.clauses.merge_records(clause_records_from_wire(clauses))
+        realized = None
+        if test is not None and self.error_simulation:
+            realized = self.campaign.deserialize_realized(test)
+        return outcome_from_dict(outcome_dict), realized, test
+
+    def close(self) -> None:
+        self.executor.shutdown()
+
+
 def campaign_run_to_dict(
     config: OrchestratorConfig,
     report: CampaignReport,
     events: Sequence[CampaignEvent] = (),
 ) -> dict[str, Any]:
     """Machine-readable record of a whole run (the CLI ``--json`` report)."""
-    from repro.campaign.serialize import report_to_dict
-
     return {
         "kind": "campaign-run",
         "config": config.to_dict(),
@@ -213,12 +287,7 @@ class CampaignOrchestrator:
         unattempted = 0
         try:
             if pending:
-                if config.jobs == 1:
-                    unattempted = self._run_serial(
-                        pending, report, checkpoint
-                    )
-                else:
-                    unattempted = self._run_pool(pending, report, checkpoint)
+                unattempted = self._dispatch(pending, report, checkpoint)
         finally:
             if checkpoint is not None:
                 checkpoint.close()
@@ -268,182 +337,95 @@ class CampaignOrchestrator:
         return set(positions)
 
     # ------------------------------------------------------------------
-    # Serial path (jobs=1): the classic loop plus events + checkpointing
+    # The loop
     # ------------------------------------------------------------------
-    def _run_serial(
+    def _dispatch(
         self,
         pending: list[tuple[int, DesignError]],
         report: CampaignReport,
         checkpoint: CampaignCheckpoint | None,
     ) -> int:
-        index_of = {error.describe(): index for index, error in pending}
+        """Run ``pending`` with up to ``jobs`` errors in flight; return how
+        many were never dispatched.
 
-        def on_started(error: DesignError) -> None:
-            self.events.emit(
-                "error-started",
-                error=error.describe(),
-                index=index_of[error.describe()],
-            )
-
-        def on_finished(outcome: ErrorOutcome, realized) -> None:
-            self._emit_finished(outcome, index_of.get(outcome.error, -1))
-            test = None
-            if realized is not None and checkpoint is not None:
-                test = self.campaign.serialize_realized(realized)
-            self._write_checkpoint(checkpoint, outcome, test)
-
-        def on_dropped(outcome, dropped, seconds) -> None:
-            self.events.emit(
-                "test-dropped-others",
-                error=outcome.error,
-                dropped=[record.error for record in dropped],
-                seconds=seconds,
-            )
-            for record in dropped:
-                self._write_checkpoint(checkpoint, record, None)
-
-        remaining = [error for _, error in pending]
-        run_serial_campaign(
-            self.campaign,
-            remaining,
-            report,
-            error_simulation=self.config.error_simulation,
-            on_started=on_started,
-            on_finished=on_finished,
-            on_dropped=on_dropped,
-            should_stop=self._stop.is_set,
-        )
-        return len(remaining)
-
-    # ------------------------------------------------------------------
-    # Parallel path (jobs>1): sharded pool with coordinator-side dropping
-    # ------------------------------------------------------------------
-    def _run_pool(
-        self,
-        pending: list[tuple[int, DesignError]],
-        report: CampaignReport,
-        checkpoint: CampaignCheckpoint | None,
-    ) -> int:
-        from repro.campaign.serialize import (
-            clause_records_from_wire,
-            clause_records_to_wire,
-            nogood_records_from_wire,
-            nogood_records_to_wire,
-        )
-
+        The stop flag is polled before each dispatch: an interrupt lets
+        the in-flight errors finish and checkpoint, and leaves the queued
+        tail unattempted.
+        """
         config = self.config
         queue: deque[tuple[int, DesignError]] = deque(pending)
-        #: The coordinator's pooled no-good and certificate stores:
-        #: everything any worker has reported so far, fanned back out
-        #: with each dispatch.  They ride on the coordinator campaign's
-        #: own generator so a later in-process run (or serial fallback)
-        #: keeps the learning.
-        pooled = self.campaign.generator.nogoods
-        pooled_clauses = self.campaign.generator.clauses
-        with ProcessPoolExecutor(
-            max_workers=config.jobs,
-            initializer=_worker_init,
-            initargs=(config.target, config.deadline_seconds),
-        ) as pool:
-            in_flight: dict = {}
-
-            def dispatch() -> None:
-                if self._stop.is_set():
-                    return
-                while queue and len(in_flight) < config.jobs:
+        in_flight: dict[Future, tuple[int, DesignError]] = {}
+        if config.jobs == 1:
+            workers = _InProcess(self.campaign, checkpoint is not None)
+        else:
+            workers = _Pool(config, self.campaign)
+        try:
+            while True:
+                while (queue and len(in_flight) < config.jobs
+                       and not self._stop.is_set()):
                     index, error = queue.popleft()
                     self.events.emit(
                         "error-started", error=error.describe(), index=index
                     )
-                    known = nogood_records_to_wire(pooled.all_records())
-                    known_clauses = clause_records_to_wire(
-                        pooled_clauses.all_records()
-                    )
-                    future = pool.submit(
-                        _worker_run, (index, error, known, known_clauses)
-                    )
-                    in_flight[future] = (index, error)
-
-            dispatch()
-            while in_flight:
-                done, _ = wait(
-                    list(in_flight), return_when=FIRST_COMPLETED
-                )
-                # Process completions in submission order for determinism.
+                    in_flight[workers.submit(index, error)] = (index, error)
+                if not in_flight:
+                    return len(queue)
+                done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
+                # Completions are folded in submission order.
                 for future in sorted(done, key=lambda f: in_flight[f][0]):
                     index, error = in_flight.pop(future)
-                    try:
-                        (
-                            _, outcome_dict, test, learned, fresh_clauses,
-                        ) = future.result()
-                        outcome = outcome_from_dict(outcome_dict)
-                        if learned:
-                            pooled.merge_records(
-                                nogood_records_from_wire(learned)
-                            )
-                        if fresh_clauses:
-                            pooled_clauses.merge_records(
-                                clause_records_from_wire(fresh_clauses)
-                            )
-                    except Exception:
-                        # A lost worker aborts the error, not the campaign.
-                        outcome, test = ErrorOutcome(
-                            error=error.describe(),
-                            detected=False,
-                            failure_stage="worker",
-                        ), None
-                    report.outcomes.append(outcome)
-                    self._emit_finished(outcome, index)
-                    self._write_checkpoint(checkpoint, outcome, test)
-                    if (
-                        config.error_simulation
-                        and test is not None
-                        and queue
-                    ):
-                        self._drop_from_queue(
-                            outcome, test, queue, report, checkpoint
-                        )
-                dispatch()
-            # An interrupt stops dispatching; in-flight errors above ran
-            # to completion and were checkpointed, the queued tail is
-            # reported as never attempted.
-            return len(queue)
+                    outcome, realized, test = workers.result(future, error)
+                    self._complete(
+                        index, outcome, realized, test, queue, report,
+                        checkpoint,
+                    )
+        finally:
+            workers.close()
 
-    def _drop_from_queue(
+    def _complete(
         self,
+        index: int,
         outcome: ErrorOutcome,
-        test: dict[str, Any],
+        realized,
+        test: dict[str, Any] | None,
         queue: deque,
         report: CampaignReport,
         checkpoint: CampaignCheckpoint | None,
     ) -> None:
-        """Error-simulate a finished test against the undispatched tail."""
-        drop_start = time.monotonic()
-        realized = self.campaign.deserialize_realized(test)
-        survivors: list[tuple[int, DesignError]] = []
+        """Record one finished error, then drop from ``queue`` every error
+        its test also detects (the drop step; its time is charged to the
+        outcome before ``error-finished`` reports it)."""
+        report.outcomes.append(outcome)
         dropped: list[ErrorOutcome] = []
-        verdicts = self.campaign.detects_realized_batch(
-            realized, [other for _, other in queue]
-        )
-        for (index, other), hit in zip(queue, verdicts):
-            if hit:
-                record = self.campaign.dropped_outcome(
-                    other, realized, outcome.error
-                )
-                report.outcomes.append(record)
-                dropped.append(record)
-                self._write_checkpoint(checkpoint, record, None)
-            else:
-                survivors.append((index, other))
-        queue.clear()
-        queue.extend(survivors)
+        if self.config.error_simulation and realized is not None and queue:
+            drop_start = time.monotonic()
+            verdicts = self.campaign.detects_realized_batch(
+                realized, [other for _, other in queue]
+            )
+            survivors = []
+            for (other_index, other), hit in zip(queue, verdicts):
+                if hit:
+                    dropped.append(self.campaign.dropped_outcome(
+                        other, realized, outcome.error
+                    ))
+                else:
+                    survivors.append((other_index, other))
+            queue.clear()
+            queue.extend(survivors)
+            report.outcomes.extend(dropped)
+            drop_seconds = time.monotonic() - drop_start
+            outcome.seconds += drop_seconds
+        self._emit_finished(outcome, index)
+        self._write_checkpoint(checkpoint, outcome, test)
         if dropped:
             self.events.emit(
                 "test-dropped-others",
                 error=outcome.error,
                 dropped=[record.error for record in dropped],
-                seconds=time.monotonic() - drop_start,
+                seconds=drop_seconds,
             )
+            for record in dropped:
+                self._write_checkpoint(checkpoint, record, None)
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -468,22 +450,7 @@ class CampaignOrchestrator:
                 error=outcome.error,
                 index=index,
                 phase_seconds=dict(outcome.phase_seconds),
-                golden_hits=outcome.golden_hits,
-                golden_misses=outcome.golden_misses,
-                exposure_forks=outcome.exposure_forks,
-                exposure_fork_decided=outcome.exposure_fork_decided,
-                backtracks=outcome.backtracks,
-                nogood_hits=outcome.nogood_hits,
-                nogood_misses=outcome.nogood_misses,
-                justify_cache_hits=outcome.justify_cache_hits,
-                path_cache_hits=outcome.path_cache_hits,
-                path_cache_misses=outcome.path_cache_misses,
-                dptrace_sweeps_avoided=outcome.dptrace_sweeps_avoided,
-                conflicts=outcome.conflicts,
-                learned_clauses=outcome.learned_clauses,
-                backjumps=outcome.backjumps,
-                clause_hits=outcome.clause_hits,
-                refuted_unjustifiable=outcome.refuted_unjustifiable,
+                **{name: getattr(outcome, name) for name in TG_COUNTERS},
                 deadline_hit=outcome.deadline_hit,
             )
 
@@ -492,32 +459,13 @@ class CampaignOrchestrator:
         for outcome in report.outcomes:
             for phase, seconds in outcome.phase_seconds.items():
                 phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-        outcomes = report.outcomes
         self.events.emit(
             "profile-summary",
             phase_seconds=phase_seconds,
-            golden_hits=sum(o.golden_hits for o in outcomes),
-            golden_misses=sum(o.golden_misses for o in outcomes),
-            exposure_forks=sum(o.exposure_forks for o in outcomes),
-            exposure_fork_decided=sum(
-                o.exposure_fork_decided for o in outcomes
-            ),
-            backtracks=report.backtracks_total,
-            nogood_hits=sum(o.nogood_hits for o in outcomes),
-            nogood_misses=sum(o.nogood_misses for o in outcomes),
-            justify_cache_hits=sum(o.justify_cache_hits for o in outcomes),
-            path_cache_hits=sum(o.path_cache_hits for o in outcomes),
-            path_cache_misses=sum(o.path_cache_misses for o in outcomes),
-            dptrace_sweeps_avoided=sum(
-                o.dptrace_sweeps_avoided for o in outcomes
-            ),
-            conflicts=sum(o.conflicts for o in outcomes),
-            learned_clauses=sum(o.learned_clauses for o in outcomes),
-            backjumps=sum(o.backjumps for o in outcomes),
-            clause_hits=sum(o.clause_hits for o in outcomes),
-            refuted_unjustifiable=sum(
-                o.refuted_unjustifiable for o in outcomes
-            ),
+            **{
+                name: sum(getattr(o, name) for o in report.outcomes)
+                for name in TG_COUNTERS
+            },
         )
 
     def _write_checkpoint(

@@ -6,17 +6,17 @@ distinguishes the erroneous implementation from the ISA specification by
 co-simulation.  Everything else is **aborted** — the same accounting as the
 paper's Table 1.
 
-The drivers here are single-process; :mod:`repro.campaign.orchestrator`
-shards the same campaigns across a worker pool.  Both paths funnel through
-:func:`run_serial_campaign`, so ``jobs=1`` orchestration is the very loop
-``DlxCampaign.run`` has always executed.
+This module holds the per-error pipeline and the vehicle hooks.  The
+campaign loop itself (dispatch, fault dropping, events, checkpoints) is
+:class:`repro.campaign.orchestrator.CampaignOrchestrator`, which
+:meth:`CampaignBase.run` drives with ``jobs=1``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.core import clock
 from repro.core.tg import TestGenerator, TGStatus
@@ -158,54 +158,79 @@ class CampaignReport:
         return "\n".join(lines)
 
 
+#: TG statistics that travel from ``TGResult`` onto ``ErrorOutcome`` and
+#: into the ``error-profile`` / ``profile-summary`` events, in payload order.
+TG_COUNTERS = (
+    "golden_hits", "golden_misses", "exposure_forks", "exposure_fork_decided",
+    "backtracks", "nogood_hits", "nogood_misses", "justify_cache_hits",
+    "path_cache_hits", "path_cache_misses", "dptrace_sweeps_avoided",
+    "conflicts", "learned_clauses", "backjumps", "clause_hits",
+    "refuted_unjustifiable",
+)
+
+
 def _outcome_from_result(error: DesignError, result) -> ErrorOutcome:
     """The (not-yet-detected) outcome skeleton carrying TG's statistics."""
     return ErrorOutcome(
         error=error.describe(),
         detected=False,
-        backtracks=result.backtracks,
         final_backtracks=result.final_backtracks,
         attempts=result.attempts,
         phase_seconds=dict(result.phase_seconds),
-        golden_hits=result.golden_hits,
-        golden_misses=result.golden_misses,
-        exposure_forks=result.exposure_forks,
-        exposure_fork_decided=result.exposure_fork_decided,
-        nogood_hits=result.nogood_hits,
-        nogood_misses=result.nogood_misses,
-        justify_cache_hits=result.justify_cache_hits,
-        path_cache_hits=result.path_cache_hits,
-        path_cache_misses=result.path_cache_misses,
-        dptrace_sweeps_avoided=result.dptrace_sweeps_avoided,
-        conflicts=result.conflicts,
-        learned_clauses=result.learned_clauses,
-        backjumps=result.backjumps,
-        clause_hits=result.clause_hits,
-        refuted_unjustifiable=result.refuted_unjustifiable,
         deadline_hit=result.deadline_hit,
+        **{name: getattr(result, name) for name in TG_COUNTERS},
     )
 
 
 class CampaignBase:
     """Shared campaign machinery over a concrete test vehicle.
 
-    Subclasses provide the per-error pipeline (:meth:`_run_error_with_test`)
-    plus the handful of vehicle-specific hooks the shared loop and the
-    orchestrator need: re-checking a realized test against another error
-    (fault dropping) and (de)serializing realized tests so they can cross a
-    process boundary or land in a checkpoint.
+    The per-error pipeline (:meth:`_run_error_with_test`) is shared;
+    subclasses provide the vehicle hooks it and the orchestrator need:
+    realizing a TG test as a program, re-checking a realized test against
+    an error (ISA check and fault dropping) and (de)serializing realized
+    tests so they can cross a process boundary or land in a checkpoint.
     """
 
+    #: The orchestrator target name (``OrchestratorConfig.target``).
+    target: str
     processor: Processor
     generator: TestGenerator
 
     def default_errors(self, **kwargs) -> list[DesignError]:
         raise NotImplementedError
 
+    def _realize(self, test):
+        """The realized program for a TG test, or None when it does not
+        realize."""
+        raise NotImplementedError
+
     def _run_error_with_test(self, error: DesignError):
         """Run TG + realization + ISA check; return ``(outcome, realized)``
         where ``realized`` is the realized test when detected, else None."""
-        raise NotImplementedError
+        start = time.monotonic()
+        cpu_start = clock.cpu_time()
+        result = self.generator.generate(error)
+        outcome = _outcome_from_result(error, result)
+        realized = None
+        if result.status is not TGStatus.DETECTED:
+            outcome.failure_stage = "tg"
+        else:
+            realized = self._realize(result.test)
+            if realized is None:
+                outcome.failure_stage = "realize"
+            elif self.detects_realized(realized, error):
+                outcome.detected = True
+                outcome.test_length = len(realized.program)
+                outcome.nontrivial_instructions = self.nontrivial_count(
+                    realized.program
+                )
+            else:
+                outcome.failure_stage = "isa-check"
+                realized = None
+        outcome.cpu_seconds = clock.cpu_time() - cpu_start
+        outcome.seconds = time.monotonic() - start
+        return outcome, realized
 
     def detects_realized(self, realized, error: DesignError) -> bool:
         """Does an already-realized test also detect ``error``?"""
@@ -252,7 +277,8 @@ class CampaignBase:
         errors: Sequence[DesignError],
         error_simulation: bool = False,
     ) -> CampaignReport:
-        """Run the campaign.
+        """Run the campaign in this process (the orchestrator's loop with
+        ``jobs=1``).
 
         With ``error_simulation`` enabled (the paper's stated future
         improvement: "no error simulation was used in this preliminary
@@ -260,73 +286,23 @@ class CampaignBase:
         simulated against the remaining errors, and the ones it detects are
         dropped from the TG work list.
         """
-        report = CampaignReport()
-        start = time.monotonic()
-        run_serial_campaign(
-            self, list(errors), report, error_simulation=error_simulation
+        from repro.campaign.orchestrator import (
+            CampaignOrchestrator,
+            OrchestratorConfig,
         )
-        report.total_seconds = time.monotonic() - start
-        return report
 
-
-def run_serial_campaign(
-    campaign: CampaignBase,
-    remaining: list[DesignError],
-    report: CampaignReport,
-    error_simulation: bool = False,
-    on_started: Callable[[DesignError], None] | None = None,
-    on_finished: Callable[[ErrorOutcome, Any], None] | None = None,
-    on_dropped: Callable[[ErrorOutcome, list[ErrorOutcome], float], None]
-    | None = None,
-    should_stop: Callable[[], bool] | None = None,
-) -> None:
-    """The serial campaign loop, appending outcomes to ``report``.
-
-    ``remaining`` is consumed in place (fault dropping removes errors that
-    an earlier test already detects).  The optional callbacks let the
-    orchestrator attach event emission and checkpointing without forking
-    the control flow: ``on_finished(outcome, realized)`` fires once the
-    outcome is final (dropping time folded in), ``on_dropped(outcome,
-    dropped, seconds)`` after a test removed errors from the work list.
-    ``should_stop`` is polled between errors: when it returns True the
-    loop returns early, leaving the unattempted tail in ``remaining`` —
-    the cooperative-interrupt hook (the in-flight error always finishes,
-    so every appended outcome is complete and checkpointable).
-    """
-    while remaining:
-        if should_stop is not None and should_stop():
-            return
-        error = remaining.pop(0)
-        if on_started is not None:
-            on_started(error)
-        outcome, realized = campaign._run_error_with_test(error)
-        report.outcomes.append(outcome)
-        dropped: list[ErrorOutcome] = []
-        drop_seconds = 0.0
-        if error_simulation and realized is not None:
-            drop_start = time.monotonic()
-            survivors = []
-            verdicts = campaign.detects_realized_batch(realized, remaining)
-            for other, hit in zip(remaining, verdicts):
-                if hit:
-                    record = campaign.dropped_outcome(
-                        other, realized, outcome.error
-                    )
-                    report.outcomes.append(record)
-                    dropped.append(record)
-                else:
-                    survivors.append(other)
-            remaining[:] = survivors
-            drop_seconds = time.monotonic() - drop_start
-            outcome.seconds += drop_seconds
-        if on_finished is not None:
-            on_finished(outcome, realized)
-        if dropped and on_dropped is not None:
-            on_dropped(outcome, dropped, drop_seconds)
+        config = OrchestratorConfig(
+            target=self.target,
+            deadline_seconds=self.generator.deadline_seconds,
+            error_simulation=error_simulation,
+        )
+        return CampaignOrchestrator(config, campaign=self).run(errors)
 
 
 class DlxCampaign(CampaignBase):
     """Table-1 campaign on the DLX (bus SSL errors in EX/MEM/WB)."""
+
+    target = "dlx"
 
     def __init__(
         self,
@@ -361,38 +337,13 @@ class DlxCampaign(CampaignBase):
             max_bits_per_net=max_bits_per_net,
         )
 
-    def _run_error_with_test(self, error: DesignError):
-        from repro.dlx import detects
+    def _realize(self, test):
         from repro.dlx.realize import RealizationError, realize
 
-        start = time.monotonic()
-        cpu_start = clock.cpu_time()
-        result = self.generator.generate(error)
-        outcome = _outcome_from_result(error, result)
-        realized = None
-        if result.status is not TGStatus.DETECTED:
-            outcome.failure_stage = "tg"
-        else:
-            try:
-                realized = realize(self.processor, result.test)
-            except RealizationError:
-                outcome.failure_stage = "realize"
-            else:
-                if detects(
-                    self.processor, realized.program, error,
-                    realized.init_regs, realized.init_memory,
-                ):
-                    outcome.detected = True
-                    outcome.test_length = len(realized.program)
-                    outcome.nontrivial_instructions = self.nontrivial_count(
-                        realized.program
-                    )
-                else:
-                    outcome.failure_stage = "isa-check"
-                    realized = None
-        outcome.cpu_seconds = clock.cpu_time() - cpu_start
-        outcome.seconds = time.monotonic() - start
-        return outcome, realized
+        try:
+            return realize(self.processor, test)
+        except RealizationError:
+            return None
 
     def detects_realized(self, realized, error: DesignError) -> bool:
         from repro.dlx import detects
@@ -431,6 +382,8 @@ class DlxCampaign(CampaignBase):
 class MiniCampaign(CampaignBase):
     """The same campaign on MiniPipe (execute/write-back stages)."""
 
+    target = "mini"
+
     def __init__(
         self,
         processor: Processor | None = None,
@@ -454,38 +407,13 @@ class MiniCampaign(CampaignBase):
             max_bits_per_net=max_bits_per_net,
         )
 
-    def _run_error_with_test(self, error: DesignError):
-        from repro.mini import detects
+    def _realize(self, test):
         from repro.mini.realize import RealizationError, realize
 
-        start = time.monotonic()
-        cpu_start = clock.cpu_time()
-        result = self.generator.generate(error)
-        outcome = _outcome_from_result(error, result)
-        realized = None
-        if result.status is not TGStatus.DETECTED:
-            outcome.failure_stage = "tg"
-        else:
-            try:
-                realized = realize(result.test)
-            except RealizationError:
-                outcome.failure_stage = "realize"
-            else:
-                if detects(
-                    self.processor, realized.program, error,
-                    realized.init_regs,
-                ):
-                    outcome.detected = True
-                    outcome.test_length = len(realized.program)
-                    outcome.nontrivial_instructions = self.nontrivial_count(
-                        realized.program
-                    )
-                else:
-                    outcome.failure_stage = "isa-check"
-                    realized = None
-        outcome.cpu_seconds = clock.cpu_time() - cpu_start
-        outcome.seconds = time.monotonic() - start
-        return outcome, realized
+        try:
+            return realize(test)
+        except RealizationError:
+            return None
 
     def detects_realized(self, realized, error: DesignError) -> bool:
         from repro.mini import detects

@@ -52,6 +52,36 @@ def test_torn_final_line_tolerated(tmp_path):
     assert [r.outcome.error for r in records] == ["e1", "e2"]
 
 
+def test_append_after_torn_tail_keeps_every_record(tmp_path):
+    """Resuming after a torn write: the fragment is cut off before the
+    next record lands, so no record is lost or glued onto it."""
+    path = str(tmp_path / "cp.jsonl")
+    with CampaignCheckpoint(path) as checkpoint:
+        checkpoint.append(_outcome("e1"))
+    with open(path, "a") as handle:
+        handle.write('{"kind": "campaign-checkpoint", "outco')
+    with CampaignCheckpoint(path) as checkpoint:
+        checkpoint.append(_outcome("e2"))
+    with CampaignCheckpoint(path) as checkpoint:
+        checkpoint.append(_outcome("e3"))
+    records = CampaignCheckpoint.load(path)
+    assert [r.outcome.error for r in records] == ["e1", "e2", "e3"]
+
+
+def test_append_terminates_complete_unterminated_tail(tmp_path):
+    """A final record whose newline was lost still parses: it is kept."""
+    path = str(tmp_path / "cp.jsonl")
+    with CampaignCheckpoint(path) as checkpoint:
+        checkpoint.append(_outcome("e1"))
+    with open(path) as handle:
+        text = handle.read()
+    with open(path, "w") as handle:
+        handle.write(text.rstrip("\n"))
+    with CampaignCheckpoint(path) as checkpoint:
+        checkpoint.append(_outcome("e2"))
+    assert CampaignCheckpoint.completed_errors(path) == {"e1", "e2"}
+
+
 def test_mid_file_corruption_raises(tmp_path):
     path = str(tmp_path / "cp.jsonl")
     good = json.dumps(CheckpointRecord(_outcome("e1")).to_dict())

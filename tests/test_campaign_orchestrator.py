@@ -6,11 +6,15 @@ fault dropping, checkpoint/resume, and the emitted event stream.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.campaign import DlxCampaign, MiniCampaign
-from repro.campaign.checkpoint import CampaignCheckpoint
+from repro.campaign import MiniCampaign
+from repro.campaign.checkpoint import CampaignCheckpoint, CheckpointRecord
 from repro.campaign.events import EventLog, EventStream
 from repro.campaign.orchestrator import (
     CampaignOrchestrator,
@@ -20,6 +24,7 @@ from repro.campaign.orchestrator import (
     build_campaign,
     campaign_run_to_dict,
 )
+from repro.campaign.runner import ErrorOutcome
 from repro.errors import BusSSLError
 
 # A set every MiniPipe campaign detects, including one deterministic
@@ -71,25 +76,42 @@ def _effort_signature(report):
     ]
 
 
-def test_serial_orchestration_matches_classic_driver():
-    classic = MiniCampaign(deadline_seconds=10.0).run(ERRORS)
-    orchestrated = CampaignOrchestrator(_mini_config(jobs=1)).run(ERRORS)
-    assert [o.error for o in orchestrated.outcomes] == [
-        o.error for o in classic.outcomes
-    ]
-    assert _signature(orchestrated) == _signature(classic)
+#: ``_effort_signature`` of the mini ``ERRORS`` campaign, recorded with
+#: the serial driver before the serial and pooled drivers were merged.
+MINI_EFFORT = [
+    ("bus-ssl alu_mux.y[0] stuck-at-0", True, 4, "", "", False, 4, 2, 2),
+    ("bus-ssl wb_res.y[3] stuck-at-1", True, 4, "", "", False, 4, 2, 1),
+    ("bus-ssl alu_add.y[2] stuck-at-0", True, 4, "", "", False, 2, 1, 2),
+    ("bus-ssl opa_mux.y[1] stuck-at-1", True, 4, "", "", False, 0, 0, 2),
+]
 
-    # A DLX slice with fault dropping: a detection, a drop pair and an
-    # abort, each with the same effort counters through either driver.
-    dlx = DlxCampaign(deadline_seconds=10.0)
-    errors = dlx.default_errors()[::48]
-    classic = dlx.run(errors, error_simulation=True)
-    orchestrated = CampaignOrchestrator(OrchestratorConfig(
+#: The same for the DLX ``default_errors()[::48]`` slice with fault
+#: dropping: detections, two drop pairs and an abort.
+DLX_EFFORT = [
+    ("bus-ssl ex_a.y[0] stuck-at-0", True, 6, "", "", False, 3892, 18, 3),
+    ("bus-ssl alu_sub.y[0] stuck-at-0", True, 6, "",
+     "bus-ssl ex_a.y[0] stuck-at-0", False, 0, 0, 0),
+    ("bus-ssl wb_load.y[0] stuck-at-0", True, 6, "", "", False, 4, 2, 1),
+    ("bus-ssl alu_srl.y[0] stuck-at-0", True, 6, "", "", False, 3928, 36, 3),
+    ("bus-ssl addrlo[0] stuck-at-0", False, 0, "tg", "", False, 0, 0, 30),
+    ("bus-ssl lbu_ext.y[2] stuck-at-0", True, 6, "", "", False, 0, 0, 2),
+    ("bus-ssl wb_value_o[2] stuck-at-0", True, 6, "",
+     "bus-ssl lbu_ext.y[2] stuck-at-0", False, 0, 0, 0),
+]
+
+
+def test_engine_effort_signature_is_pinned():
+    report = MiniCampaign(deadline_seconds=10.0).run(ERRORS)
+    assert _effort_signature(report) == MINI_EFFORT
+    pooled = CampaignOrchestrator(_mini_config(jobs=2)).run(ERRORS)
+    assert _signature(pooled) == _signature(report)
+
+    orchestrator = CampaignOrchestrator(OrchestratorConfig(
         target="dlx", jobs=1, deadline_seconds=10.0, error_simulation=True,
-    )).run(errors)
-    assert not any(o.deadline_hit for o in classic.outcomes)
-    assert any(o.dropped_by for o in classic.outcomes)
-    assert _effort_signature(orchestrated) == _effort_signature(classic)
+    ))
+    report = orchestrator.run(orchestrator.default_errors()[::48])
+    assert not any(o.deadline_hit for o in report.outcomes)
+    assert _effort_signature(report) == DLX_EFFORT
 
 
 def test_parallel_matches_serial_counts():
@@ -307,3 +329,70 @@ def test_campaign_run_to_dict_shape():
     assert {e["kind"] for e in data["events"]} >= {
         "campaign-started", "error-finished", "campaign-finished",
     }
+
+
+_UNINTERRUPTED: dict = {}
+
+
+def _uninterrupted(jobs: int, error_simulation: bool):
+    key = (jobs, error_simulation)
+    if key not in _UNINTERRUPTED:
+        _UNINTERRUPTED[key] = CampaignOrchestrator(_mini_config(
+            jobs=jobs, error_simulation=error_simulation,
+        )).run(ERRORS)
+    return _UNINTERRUPTED[key]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    jobs=st.sampled_from([1, 2]),
+    error_simulation=st.booleans(),
+    stop_after=st.integers(min_value=0, max_value=4),
+    torn=st.none() | st.integers(min_value=1, max_value=300),
+)
+def test_interrupt_torn_write_resume_matches_uninterrupted(
+    jobs, error_simulation, stop_after, torn
+):
+    """Interrupt after ``stop_after`` finished errors, optionally tear a
+    record onto the checkpoint, then resume twice: the report is the
+    uninterrupted one and the checkpoint covers every error."""
+    config = dict(jobs=jobs, error_simulation=error_simulation)
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "cp.jsonl")
+        orchestrator = CampaignOrchestrator(
+            _mini_config(checkpoint_path=path, **config)
+        )
+        finished = []
+
+        def stop(event) -> None:
+            if event.kind == "error-finished":
+                finished.append(event)
+                if len(finished) >= stop_after:
+                    orchestrator.interrupt()
+
+        orchestrator.events.subscribe(stop)
+        if stop_after == 0:
+            orchestrator.interrupt()
+        orchestrator.run(ERRORS)
+        if torn is not None:
+            outcome = ErrorOutcome(ERRORS[-1].describe(), True)
+            line = json.dumps(CheckpointRecord(outcome).to_dict())
+            with open(path, "a") as handle:
+                handle.write(line[:torn])
+        for _ in range(2):
+            report = CampaignOrchestrator(_mini_config(
+                checkpoint_path=path, resume=True, **config,
+            )).run(ERRORS)
+        assert CampaignCheckpoint.completed_errors(path) == {
+            e.describe() for e in ERRORS
+        }
+    assert not report.interrupted
+    full = _uninterrupted(jobs, error_simulation)
+    if jobs == 2 and error_simulation:
+        # Drop sets depend on completion timing across workers.
+        assert sorted(o.error for o in report.outcomes) == sorted(
+            e.describe() for e in ERRORS
+        )
+        assert report.n_detected == full.n_detected
+    else:
+        assert _signature(report) == _signature(full)
