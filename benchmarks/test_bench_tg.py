@@ -1,7 +1,7 @@
 """TG search accelerator: microbenchmark + end-to-end campaign effect.
 
-Three measurements back the search-acceleration layer (incremental C/O
-propagation, learned no-goods, path-set cache):
+Four measurements back the search-acceleration layer (incremental C/O
+propagation, the justification memo, path-set cache, CDCL refuter):
 
 * **Microbenchmark** — a scripted decide/retract walk over the DLX
   datapath window, once through :class:`AnalyzerSession` (fanout-cone
@@ -11,14 +11,14 @@ propagation, learned no-goods, path-set cache):
 
 * **End-to-end** — the ``table1 --sample 12 --deadline 10 --dropping``
   campaign run twice: accelerators on vs. the interpretive baseline
-  (full-recompute DPTRACE, no learning).  Detected/aborted outcomes must
-  be byte-identical per error.  Note the ratio is structurally flattened
-  by deadline-capped aborts: an error whose search exhausts *beyond* the
-  budget pins the full 10 s of CPU in **both** runs, so the achievable
-  end-to-end ratio is bounded by (pinned + baseline rest) / (pinned +
-  accelerated rest).  The report therefore also splits out the
-  search-bound subset (errors no run deadline-caps), where the
-  accelerators' real effect is visible.
+  (full-recompute DPTRACE, zero-capacity memo stores).  Detected/aborted
+  outcomes must be byte-identical per error.  Note the ratio is
+  structurally flattened by deadline-capped aborts: an error whose
+  search exhausts *beyond* the budget pins the full 10 s of CPU in
+  **both** runs, so the achievable end-to-end ratio is bounded by
+  (pinned + baseline rest) / (pinned + accelerated rest).  The report
+  therefore also splits out the search-bound subset (errors no run
+  deadline-caps), where the accelerators' real effect is visible.
 
 * **Refutation bound** — the ``setcc_ext.y[31]`` windows that pin the
   per-error deadline: the CDCL refuter (``repro.core.clauses``) proves
@@ -143,12 +143,21 @@ def test_costate_session_microbenchmark(benchmark, dlx):
     assert speedup >= 3.0
 
 
+def _no_memo_stores(generator) -> None:
+    """Give ``generator`` zero-capacity memo stores: every justification
+    and path selection is recomputed (the baseline arm)."""
+    from repro.core.nogoods import LearnedNogoods, PathCache
+
+    generator.nogoods = LearnedNogoods(max_results=0)
+    generator._path_cache = PathCache(max_entries=0)
+
+
 def _run_campaign(accelerated: bool):
     from repro.campaign import DlxCampaign
 
     campaign = DlxCampaign(deadline_seconds=10.0)
     if not accelerated:
-        campaign.generator.use_learned_nogoods = False
+        _no_memo_stores(campaign.generator)
         campaign.generator.use_incremental_dptrace = False
     errors = campaign.default_errors()[::12]
     start = time.monotonic()
@@ -207,8 +216,7 @@ def test_table1_sample12_end_to_end(benchmark):
     print(f"  search-bound subset ({base_report.n_errors - len(capped)} "
           f"errors): {base_rest:.1f} s -> {accel_rest:.1f} s "
           f"= {search_speedup:.2f}x")
-    print(f"  nogoods: {len(nogoods)} learned, {nogoods.hits} hit(s); "
-          f"justify memo {nogoods.justify_hits} hit(s); "
+    print(f"  justify memo {nogoods.justify_hits} hit(s); "
           f"path cache "
           f"{accel_campaign.generator._path_cache.hits} hit(s)")
     _RESULTS["table1_sample12"] = {
@@ -222,9 +230,6 @@ def test_table1_sample12_end_to_end(benchmark):
         "search_bound_baseline_seconds": base_rest,
         "search_bound_accelerated_seconds": accel_rest,
         "search_bound_speedup": search_speedup,
-        "nogoods_learned": len(nogoods),
-        "nogood_hits": nogoods.hits,
-        "nogood_misses": nogoods.misses,
         "justify_cache_hits": nogoods.justify_hits,
         "path_cache_hits": accel_campaign.generator._path_cache.hits,
         "dptrace_sweeps_avoided":
@@ -423,8 +428,9 @@ def test_cross_error_reuse_same_bus(benchmark):
             campaign.processor,
             deadline_seconds=10.0,
             exposure_comparator=dlx_exposure_comparator,
-            use_learned_nogoods=learning,
         )
+        if not learning:
+            _no_memo_stores(generator)
         start = time.monotonic()
         results = [generator.generate(error) for error in errors]
         return generator, results, time.monotonic() - start

@@ -30,7 +30,6 @@ wall-clock time):
     dptrace / ctrljust / dprelax / cosim), ``golden_hits``,
     ``golden_misses``, ``exposure_forks``, ``exposure_fork_decided``,
     ``backtracks``, plus the search-accelerator counters
-    ``nogood_hits`` / ``nogood_misses`` (learned no-good lookups),
     ``justify_cache_hits`` (memoized CTRLJUST answers),
     ``path_cache_hits`` / ``path_cache_misses`` (DPTRACE selections) and
     ``dptrace_sweeps_avoided`` (full C/O recomputes the incremental
@@ -282,11 +281,9 @@ class ProgressRenderer:
             self._line(f"profile: {phases or 'no phase samples'}; "
                        f"golden cache {data['golden_hits']} hit(s), "
                        f"{data['golden_misses']} fault-free sim(s)")
-            if "nogood_hits" in data:
+            if "justify_cache_hits" in data:
                 self._line(
                     f"profile: search accel: "
-                    f"{data['nogood_hits']} nogood hit(s) "
-                    f"({data['nogood_misses']} miss(es)), "
                     f"{data['justify_cache_hits']} memoized "
                     f"justification(s), "
                     f"{data['path_cache_hits']} path-cache hit(s), "

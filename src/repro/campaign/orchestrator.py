@@ -44,8 +44,6 @@ from repro.campaign.runner import (
 from repro.campaign.serialize import (
     clause_records_from_wire,
     clause_records_to_wire,
-    nogood_records_from_wire,
-    nogood_records_to_wire,
     report_to_dict,
 )
 from repro.errors.models import DesignError
@@ -101,32 +99,29 @@ def _worker_init(target: str, deadline_seconds: float) -> None:
     _WORKER_CAMPAIGN = build_campaign(target, deadline_seconds)
 
 
-def _worker_run(item: tuple[int, DesignError, list, list]):
-    """Run one error in the worker; pool learned no-goods and refutation
-    certificates both ways.
+def _worker_run(item: tuple[int, DesignError, list]):
+    """Run one error in the worker; pool refutation certificates both
+    ways.
 
-    The coordinator ships every record it knows with the task; the worker
-    merges them (idempotent) before searching, and returns only what it
-    learned locally since its last report (``export_records`` drains the
-    fresh list; merged foreign records never re-export).
+    The coordinator ships every certificate it knows with the task; the
+    worker merges them (idempotent) before searching, and returns only
+    what it learned locally since its last report (``export_records``
+    drains the fresh list; merged foreign records never re-export).
     """
-    index, error, records, clause_records = item
-    nogoods = _WORKER_CAMPAIGN.generator.nogoods
+    index, error, clause_records = item
     clauses = _WORKER_CAMPAIGN.generator.clauses
-    nogoods.merge_records(nogood_records_from_wire(records))
     clauses.merge_records(clause_records_from_wire(clause_records))
     outcome, realized = _WORKER_CAMPAIGN._run_error_with_test(error)
     test = None
     if realized is not None:
         test = _WORKER_CAMPAIGN.serialize_realized(realized)
-    learned = nogood_records_to_wire(nogoods.export_records())
-    learned_clauses = clause_records_to_wire(clauses.export_records())
-    return index, vars(outcome).copy(), test, learned, learned_clauses
+    learned = clause_records_to_wire(clauses.export_records())
+    return index, vars(outcome).copy(), test, learned
 
 
 class _InProcess:
     """``jobs=1``: each error runs in the coordinator at submit time, on
-    the coordinator campaign's own generator, so no learned records are
+    the coordinator campaign's own generator, so no certificates are
     shipped.  Its exceptions propagate out of the run."""
 
     def __init__(self, campaign: CampaignBase, serialize: bool) -> None:
@@ -151,9 +146,9 @@ class _InProcess:
 
 
 class _Pool:
-    """``jobs>1``: a worker pool.  Learned no-goods and refutation
-    certificates pool in the coordinator campaign's generator and fan
-    back out with each dispatch."""
+    """``jobs>1``: a worker pool.  Refutation certificates pool in the
+    coordinator campaign's generator and fan back out with each
+    dispatch."""
 
     def __init__(self, config: OrchestratorConfig,
                  campaign: CampaignBase) -> None:
@@ -166,30 +161,26 @@ class _Pool:
         )
 
     def submit(self, index: int, error: DesignError) -> Future:
-        generator = self.campaign.generator
-        known = nogood_records_to_wire(generator.nogoods.all_records())
-        known_clauses = clause_records_to_wire(
-            generator.clauses.all_records()
+        known = clause_records_to_wire(
+            self.campaign.generator.clauses.all_records()
         )
-        return self.executor.submit(
-            _worker_run, (index, error, known, known_clauses)
-        )
+        return self.executor.submit(_worker_run, (index, error, known))
 
     def result(self, future: Future, error: DesignError):
         """``(outcome, realized, serialized test)`` of a finished error;
         ``realized`` is rebuilt only when the drop step needs it.  A lost
         worker aborts the error, not the campaign."""
-        generator = self.campaign.generator
         try:
-            _, outcome_dict, test, learned, clauses = future.result()
+            _, outcome_dict, test, clauses = future.result()
         except Exception:
             outcome = ErrorOutcome(
                 error=error.describe(), detected=False,
                 failure_stage="worker",
             )
             return outcome, None, None
-        generator.nogoods.merge_records(nogood_records_from_wire(learned))
-        generator.clauses.merge_records(clause_records_from_wire(clauses))
+        self.campaign.generator.clauses.merge_records(
+            clause_records_from_wire(clauses)
+        )
         realized = None
         if test is not None and self.error_simulation:
             realized = self.campaign.deserialize_realized(test)

@@ -49,11 +49,9 @@ class ErrorOutcome:
     #: bad-machine co-simulation (see ``repro.datapath.faultsim``).
     exposure_forks: int = 0
     exposure_fork_decided: int = 0
-    #: Search-accelerator traffic (see ``repro.core.nogoods``): learned
-    #: no-good and path-set cache hits/misses, memoized justification
-    #: answers, and full C/O sweeps the incremental DPTRACE avoided.
-    nogood_hits: int = 0
-    nogood_misses: int = 0
+    #: Search-accelerator traffic (see ``repro.core.nogoods``): memoized
+    #: justification answers, path-set cache hits/misses, and full C/O
+    #: sweeps the incremental DPTRACE avoided.
     justify_cache_hits: int = 0
     path_cache_hits: int = 0
     path_cache_misses: int = 0
@@ -162,8 +160,8 @@ class CampaignReport:
 #: into the ``error-profile`` / ``profile-summary`` events, in payload order.
 TG_COUNTERS = (
     "golden_hits", "golden_misses", "exposure_forks", "exposure_fork_decided",
-    "backtracks", "nogood_hits", "nogood_misses", "justify_cache_hits",
-    "path_cache_hits", "path_cache_misses", "dptrace_sweeps_avoided",
+    "backtracks", "justify_cache_hits", "path_cache_hits",
+    "path_cache_misses", "dptrace_sweeps_avoided",
     "conflicts", "learned_clauses", "backjumps", "clause_hits",
     "refuted_unjustifiable",
 )

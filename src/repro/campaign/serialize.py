@@ -109,67 +109,15 @@ def realized_mini_from_dict(data: dict[str, Any]):
     )
 
 
-def _nogood_encode(value):
-    """Lower a no-good key/entry element to a JSON-able tagged form.
-
-    Keys mix nested tuples and frozensets of scalars; frozensets are
-    sorted so the wire form is canonical (equal keys encode equally).
-    """
-    if isinstance(value, tuple):
-        return ["t", *[_nogood_encode(v) for v in value]]
-    if isinstance(value, frozenset):
-        return ["f", *sorted(_nogood_encode(v) for v in value)]
-    return value
-
-
-def _nogood_decode(value):
-    if isinstance(value, list):
-        tag, items = value[0], value[1:]
-        if tag == "f":
-            return frozenset(_nogood_decode(v) for v in items)
-        return tuple(_nogood_decode(v) for v in items)
-    return value
-
-
-def nogood_records_to_wire(records) -> list:
-    """Learned no-good records as JSON-able lists (the orchestrator's
-    worker <-> coordinator transport; see ``repro.core.nogoods``).
-
-    Each row is ``[key, blamed, backtracks, [conflicts, learned,
-    backjumps, clause_hits, refuted]]`` — the CDCL column replays the
-    refuter's effort counters on a foreign hit.
-    """
-    return [
-        [_nogood_encode(key), _nogood_encode(blamed), backtracks,
-         list(cdcl)]
-        for key, (blamed, backtracks, cdcl) in records
-    ]
-
-
-def nogood_records_from_wire(data) -> list:
-    """Inverse of :func:`nogood_records_to_wire`.
-
-    Rows written before the CDCL column existed decode with zeroed
-    counters.
-    """
-    records = []
-    for row in data:
-        key, blamed, backtracks = row[0], row[1], row[2]
-        cdcl = tuple(row[3]) if len(row) > 3 else (0, 0, 0, 0, 0)
-        records.append(
-            (_nogood_decode(key), (_nogood_decode(blamed), backtracks, cdcl))
-        )
-    return records
-
-
 def clause_records_to_wire(records) -> list:
-    """Refutation certificates as JSON-able lists (same transport as the
-    no-goods; see :class:`repro.core.clauses.ClauseDB`).
+    """Refutation certificates as JSON-able lists (the orchestrator's
+    worker <-> coordinator transport; see
+    :class:`repro.core.clauses.ClauseDB`).
 
     A record is ``(n_frames, cert_items, lbd)`` with absolute
     ``((frame, name), value)`` literals; the wire form normalizes frames
     to the certificate's minimum frame and carries the offset, mirroring
-    the no-good keys: ``[n_frames, offset, [[frame - offset, name,
+    the justify-memo keys: ``[n_frames, offset, [[frame - offset, name,
     value], ...], lbd]``.
     """
     wire = []
@@ -235,8 +183,8 @@ TIMING_KEYS = frozenset({
 #: fields that warm caches must never change.
 CACHE_TRAFFIC_KEYS = frozenset({
     "golden_hits", "golden_misses",
-    "nogood_hits", "nogood_misses", "justify_cache_hits",
-    "path_cache_hits", "path_cache_misses", "dptrace_sweeps_avoided",
+    "justify_cache_hits", "path_cache_hits", "path_cache_misses",
+    "dptrace_sweeps_avoided",
     # CDCL refuter traffic: a warm clause DB turns a fresh refutation
     # (conflicts > 0) into a certificate hit (clause_hits = 1), and a
     # certificate can refute a window a cold run would merely give up

@@ -23,8 +23,8 @@ turns those give-ups into millisecond *proofs*:
 * :class:`ClauseDB` — the persistent store of those cores.  A core is an
   *unjustifiability certificate*: any later objective set that contains
   it (same window size, absolute frames) is unjustifiable without any
-  search at all, which generalizes the exact-match
-  :class:`~repro.core.nogoods.LearnedNogoods` keys to whole families of
+  search at all, which generalizes the exact-match justification memo
+  (:class:`~repro.core.nogoods.LearnedNogoods`) to whole families of
   objective supersets.  Certificates are indexed by a witness literal for
   subset lookup, bounded by a deterministic size/LBD eviction policy,
   shipped between orchestrator workers as frame-offset-normalized records
@@ -41,8 +41,8 @@ Soundness and transparency contract (enforced by differential tests):
 * Within one run the refuter is a pure function of the question: learned
   clauses start empty per run and certificates are consulted *before*
   the search, never during it — so whether a question refutes does not
-  depend on mutable cross-question state, which keeps the PR-5 no-good
-  on/off counter identity intact.
+  depend on mutable cross-question state, which keeps the memo on/off
+  counter identity intact.
 * Deadline-tainted probes (``deadline_hit``) never store certificates,
   mirroring the PathCache taint rule.
 """
@@ -56,7 +56,7 @@ from repro.controller.implication import ImplicationSession
 from repro.core import clock
 
 #: ((frame, name), value) literals, the cross-run certificate alphabet
-#: (same shape as the no-good keys in :mod:`repro.core.nogoods`).
+#: (same shape as the justify-memo keys in :mod:`repro.core.nogoods`).
 CertItems = tuple[tuple[tuple[int, str], int], ...]
 
 
@@ -518,7 +518,7 @@ class ClauseDB:
     literals, keyed by window size) that is unjustifiable on its own.  Any
     justification question whose objective set is a *superset* of a
     stored certificate is refuted instantly — subsumption lookup replaces
-    the exact-match blame keys' whole-set comparison.
+    the justify memo's exact whole-set comparison.
 
     Lookup walks the query's literals and checks only certificates
     *witnessed* by that literal (each certificate is indexed under its

@@ -31,19 +31,10 @@ compiled network) until it reaches an open decision variable.  STS
 decisions are returned to the caller: the datapath (DPRELAX) must justify
 them.
 
-With ``backjump=True`` the unwind is conflict-directed (Prosser's CBJ):
-every conflict is *explained* as the set of decisions supporting it —
-the non-``None`` support cone of the conflicting or mismatched signal,
-which three-valued monotonicity makes a sound reason — and when a
-decision exhausts its values, the search jumps straight to the deepest
-decision in its accumulated blame set instead of trying the untouched
-levels in between.  Skipped subtrees provably contain no solution (the
-blame set is a semantic nogood over *assignments*, independent of the
-dynamic variable order), so the first solution found — and therefore
-every SUCCESS assignment and every FAILURE verdict — is identical to
-the chronological search; only the backtrack counts shrink.  Conflicts
-whose cause the engine cannot see (a backtrace dead-end) degrade that
-level to chronological unwinding rather than guess.
+The unwind is chronological, as in the paper.  Non-chronological
+backjumping lives only in the CDCL refutation probe
+(:mod:`repro.core.clauses`), which runs before the search when
+``refute_conflicts`` is set.
 """
 
 from __future__ import annotations
@@ -55,12 +46,6 @@ from repro.controller.implication import ImplicationSession
 from repro.controller.pipeline import UnrolledController
 from repro.controller.signals import SignalKind
 from repro.core import clock
-
-
-#: Explanations a search may spend per backjump it has produced (plus one
-#: starting credit) before conflict-directed unwinding degrades to
-#: chronological; see ``CtrlJust._search``.
-_EXPLAIN_ALLOWANCE = 256
 
 
 class JustStatus(enum.Enum):
@@ -168,10 +153,6 @@ class _IncrementalState:
     def has_conflict(self) -> bool:
         return self.session.has_conflict
 
-    @property
-    def conflicting_ids(self) -> set[int]:
-        return self.session.conflicting_ids
-
     def is_justified(self, name: str) -> bool:
         return self.session.is_justified(name)
 
@@ -199,7 +180,6 @@ class _FullSweepState:
         self.values: dict[str, int | None] = {}
         self._justified: set[str] = set()
         self.has_conflict = False
-        self.conflicting_ids: set[int] = set()
 
     def refresh(self) -> None:
         values, justified, conflicting = self.network.consistency(
@@ -207,8 +187,6 @@ class _FullSweepState:
         )
         self.values = values
         self._justified = set(justified)
-        index = self.network.compiled().index
-        self.conflicting_ids = {index[name] for name in conflicting}
         self.has_conflict = bool(conflicting)
 
     def is_justified(self, name: str) -> bool:
@@ -235,7 +213,6 @@ class CtrlJust:
         incremental: bool = True,
         deadline: float | None = None,
         refute_conflicts: int = 0,
-        backjump: bool = False,
     ) -> None:
         self.unrolled = unrolled
         self.network = unrolled.network
@@ -251,10 +228,6 @@ class CtrlJust:
         #: satisfiable or budget-exhausted probe falls through to the
         #: chronological search below, so SUCCESS results are untouched.
         self.refute_conflicts = refute_conflicts
-        #: Conflict-directed backjumping in the search loop (see the
-        #: module docstring): identical decisions and verdicts, fewer
-        #: backtracks.  Works with both implication backends.
-        self.backjump = backjump
         #: Diversification index: rotates backtrace option order so retries
         #: explore different (equally valid) justifications, e.g. a
         #: different store opcode for the same memwrite objective.
@@ -321,29 +294,12 @@ class CtrlJust:
         objectives: list[tuple[str, int]],
         pre_assignment: dict[str, int] | None = None,
     ) -> JustResult:
-        """The PODEM branch-and-bound (chronological unwind by default)."""
+        """The PODEM branch-and-bound with chronological backtracking."""
         assignment: dict[str, int] = dict(pre_assignment or {})
         cti_values: dict[str, int] = {}
         stack: list[JustDecision] = []
         backtracks = 0
         decision_count = 0
-        backjumps = 0
-        cbj = self.backjump
-        #: Per-decision blame (parallel to ``stack``): the decision ids
-        #: implicated in conflicts seen under this level.  ``None`` is the
-        #: "blame everything" sentinel — an unexplainable conflict degrades
-        #: the level to chronological unwinding.  ``sig_ids`` mirrors the
-        #: stack's decision signals as compiled ids (the blame currency).
-        blame: list[set[int] | None] = []
-        sig_ids: list[int] = []
-        index = self.network.compiled().index if cbj else None
-        #: Conflict explanation costs a support-cone walk per backtrack
-        #: and pays off only when jumps materialize.  Each backjump earns
-        #: the search a further allowance of explanations; a search whose
-        #: jumps dry up stops explaining (``None`` blame) and unwinds
-        #: chronologically from then on — deterministic, and sound at any
-        #: cutoff point.
-        explained = 0
         if self.incremental:
             state = _IncrementalState(self.network.compiled(), assignment)
         else:
@@ -356,14 +312,10 @@ class CtrlJust:
             ):
                 return JustResult(JustStatus.FAILURE, backtracks=backtracks,
                                   decisions=decision_count,
-                                  backjumps=backjumps,
                                   deadline_hit=True)
             state.refresh()
             values = state.values
             conflict = state.has_conflict
-            #: Signal ids the current conflict is observed at; ``None``
-            #: for a backtrace dead-end (no explainable site).
-            seeds = state.conflicting_ids if conflict and cbj else None
             open_objectives: list[tuple[str, int]] = []
             if not conflict:
                 for inst, want in objectives:
@@ -372,8 +324,6 @@ class CtrlJust:
                         open_objectives.append((inst, want))
                     elif got != want:
                         conflict = True
-                        if cbj:
-                            seeds = (index[inst],)
                         break
             if not conflict:
                 unjustified = [
@@ -389,7 +339,6 @@ class CtrlJust:
                         implied=state.snapshot(),
                         backtracks=backtracks,
                         decisions=decision_count,
-                        backjumps=backjumps,
                     )
                 # Select an objective and backtrace to a decision.
                 decision = None
@@ -401,20 +350,10 @@ class CtrlJust:
                 if decision is not None:
                     self._apply(decision, assignment, cti_values, state)
                     stack.append(decision)
-                    if cbj:
-                        blame.append(set())
-                        sig_ids.append(index[decision.signal])
                     decision_count += 1
                     continue
-                conflict = True  # no way to make progress (seeds stay None)
-            if cbj and stack and blame[-1] is not None:
-                # Charge the conflict's support set to the top decision.
-                if seeds and explained < _EXPLAIN_ALLOWANCE * (backjumps + 1):
-                    explained += 1
-                    blame[-1] |= self._explain(seeds, state, cti_values)
-                else:
-                    blame[-1] = None
-            # Backtrack.  The budget is enforced per unwind step, so one
+            # Conflict, or no open decision can make progress: backtrack.
+            # The budget is enforced per unwind step, so one
             # exhausted deep stack cannot blow far past the limit before
             # the overrun is noticed.
             while stack:
@@ -424,8 +363,7 @@ class CtrlJust:
                 if backtracks > self.max_backtracks:
                     return JustResult(JustStatus.FAILURE,
                                       backtracks=backtracks,
-                                      decisions=decision_count,
-                                      backjumps=backjumps)
+                                      decisions=decision_count)
                 if (
                     backtracks % 64 == 0
                     and self.deadline is not None
@@ -434,61 +372,15 @@ class CtrlJust:
                     return JustResult(JustStatus.FAILURE,
                                       backtracks=backtracks,
                                       decisions=decision_count,
-                                      backjumps=backjumps,
                                       deadline_hit=True)
                 if last.alternatives:
                     last.value = last.alternatives.pop(0)
                     self._apply(last, assignment, cti_values, state)
                     break
                 stack.pop()
-                if not cbj:
-                    continue
-                # Every value of ``last`` failed for reasons inside its
-                # accumulated blame set: the current assignment restricted
-                # to ``culprit`` is a nogood, so levels outside it cannot
-                # cure the failure — pop them without trying alternatives
-                # (Prosser's conflict-directed backjumping).
-                culprit = blame.pop()
-                last_id = sig_ids.pop()
-                if culprit is not None:
-                    culprit.discard(last_id)
-                    jumped = False
-                    while stack and sig_ids[-1] not in culprit:
-                        self._unapply(stack[-1], assignment, cti_values,
-                                      state)
-                        backtracks += 1
-                        jumped = True
-                        if backtracks > self.max_backtracks:
-                            return JustResult(JustStatus.FAILURE,
-                                              backtracks=backtracks,
-                                              decisions=decision_count,
-                                              backjumps=backjumps)
-                        if (
-                            backtracks % 64 == 0
-                            and self.deadline is not None
-                            and clock.cpu_time() > self.deadline
-                        ):
-                            return JustResult(JustStatus.FAILURE,
-                                              backtracks=backtracks,
-                                              decisions=decision_count,
-                                              backjumps=backjumps,
-                                              deadline_hit=True)
-                        stack.pop()
-                        blame.pop()
-                        sig_ids.pop()
-                    if jumped:
-                        backjumps += 1
-                if stack:
-                    # The jump target inherits the exhausted level's
-                    # blame (minus itself) as its own conflict reason.
-                    if culprit is None:
-                        blame[-1] = None
-                    elif blame[-1] is not None:
-                        blame[-1] |= culprit
             else:
                 return JustResult(JustStatus.FAILURE, backtracks=backtracks,
-                                  decisions=decision_count,
-                                  backjumps=backjumps, exhausted=True)
+                                  decisions=decision_count, exhausted=True)
 
     # ------------------------------------------------------------------
     # Decision bookkeeping
@@ -508,62 +400,6 @@ class CtrlJust:
         else:
             assignment.pop(decision.signal, None)
         state.retract()
-
-    # ------------------------------------------------------------------
-    # Conflict explanation (backjumping)
-    # ------------------------------------------------------------------
-    def _explain(
-        self, seeds, state, cti_values: dict[str, int]
-    ) -> set[str]:
-        """Assigned signals supporting the conflict observed at ``seeds``.
-
-        Walks the non-``None`` support cone of each seed down to assumed
-        signals: externals with a value (decisions or pre-assignment) and
-        cut CTI instances.  Three-valued evaluation is monotone — the
-        concrete inputs present at a node imply its computed value under
-        any completion — so the returned set is a sound (over-approximate)
-        conflict reason.  A conflicting cut contributes both its own
-        decision and its driving cone's support; a cut met *as support*
-        contributes only its decision, because consumers see the decided
-        value, not the cone.
-
-        Seeds, blame and the returned set are all compiled signal ids
-        (this sits on the conflict path, once per backtrack); both
-        implication backends traverse the identical id sequence, so
-        their blame sets — and therefore their searches — stay
-        bit-identical.
-        """
-        compiled = self.network.compiled()
-        index = compiled.index
-        inputs_of = compiled.inputs_of
-        is_driven = compiled.is_driven
-        if isinstance(state, _IncrementalState):
-            values = state.session.values
-        else:
-            vdict = state.values
-            values = [vdict.get(name) for name in compiled.names]
-        cut_ids = {index[name] for name in cti_values}
-        seed_set = set(seeds)
-        out: set[int] = set()
-        seen: set[int] = set()
-        work = list(seed_set)
-        while work:
-            i = work.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            if not is_driven[i]:
-                if values[i] is not None:  # assigned external: assumed
-                    out.add(i)
-                continue
-            if i in cut_ids:
-                out.add(i)
-                if i not in seed_set:
-                    continue
-            for j in inputs_of[i]:
-                if values[j] is not None and j not in seen:
-                    work.append(j)
-        return out
 
     # ------------------------------------------------------------------
     # Backtrace

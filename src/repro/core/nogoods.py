@@ -1,36 +1,29 @@
-"""Cross-error learned no-goods and memoized search results for TG.
+"""Memoized search results for TG.
 
 Errors at (or near) the same site select the same DPTRACE paths and hand
-CTRLJUST the same objective sets — and when those objectives are
-unjustifiable, today's search rediscovers the same dead end for every
-error, paying a full justification failure plus the O(n²) ``_blame``
-localization each time.  This module gives :class:`TestGenerator` three
-memo layers, all **outcome-transparent**: every key captures everything
-the deterministic search result depends on, and every hit replays the
-recorded effort counters, so learning on/off produces byte-identical
+CTRLJUST the same objective sets, and within one error the convergence
+round-trip, the justify-variant retries and ``_blame``'s prefix probes
+re-ask the same questions constantly.  This module gives
+:class:`TestGenerator` two memo layers, both **outcome-transparent**:
+every key captures everything the deterministic search result depends
+on, and every hit replays the recorded result (effort counters
+included), so a zero-capacity store produces byte-identical
 detected/aborted outcomes and backtrack statistics.
 
-* **Failure no-goods** (:meth:`LearnedNogoods.lookup_blame`) — keyed by
-  the window size, the frame-offset-normalized ordered objective set,
-  the normalized control-side decision set, the justify variant and the
-  backtrack limit; the entry records the blamed decisions and the failed
-  justification's backtrack and CDCL-refuter counters.  A hit skips both the doomed CTRLJUST
-  run and the whole ``_blame`` pass.  These records are plain tuples of
-  JSON-able scalars, so the campaign orchestrator ships them between
-  worker processes (pooled at checkpoint boundaries) while keeping them
-  out of the JSON artifacts.
-
 * **Justification results** (:meth:`LearnedNogoods.cached_justify`) — a
-  process-local LRU of full :class:`~repro.core.ctrljust.JustResult`\\ s
-  (successes and failures) under the same keying minus the control side;
-  the convergence round-trip and ``_blame``'s prefix probes re-ask the
-  same questions constantly.
+  process-local LRU of full :class:`~repro.core.ctrljust.JustResult`\\ s,
+  successes and failures (the failures are the no-goods), keyed by the
+  window size, the frame-offset-normalized ordered objective set, the
+  justify variant and the backtrack limit.
 
 * **Path-set cache** (:class:`PathCache`) — memoized
   :class:`~repro.core.dptrace.TraceResult`\\ s per (window, site,
   activation frame, implied-ctrl fingerprint, discouraged fingerprint,
   variant, backtrack limit); the justify-variants retry loop and
   repeated windows across errors at one site reuse selections.
+
+Unjustifiability certificates, the one store that generalizes across
+objective sets, live in :mod:`repro.core.clauses`.
 
 Deadline-tainted results (``deadline_hit``) are never stored: they
 depend on wall-clock state, and caching them would make outcomes depend
@@ -57,38 +50,10 @@ def _normalize(items, offset: int) -> tuple:
     )
 
 
-def blame_key(
-    n_frames: int,
-    accumulated_items: CtrlItems,
-    trace_items: CtrlItems,
-    control_side,
-    variant: int,
-    limits: tuple[int, int],
-) -> tuple:
-    """Key of one (doomed) justification *plus* its blame context.
-
-    The failed justification question is the ordered accumulated
-    objective set; the blame localization runs over the current trace's
-    objectives with its control-side subset preferred — both are in the
-    key, with the justify variant and the (justify, blame) backtrack
-    limits, so a hit replays exactly what re-running would decide.
-    """
-    offset = min((f for (f, _), _ in accumulated_items), default=0)
-    return (
-        n_frames,
-        offset,
-        _normalize(accumulated_items, offset),
-        _normalize(trace_items, offset),
-        frozenset(_normalize(control_side, offset)),
-        variant,
-        limits,
-    )
-
-
 def justify_key(
     n_frames: int, objective_items: CtrlItems, variant: int, limit: int
 ) -> tuple:
-    """Key of one justification question (no blame context)."""
+    """Key of one justification question."""
     offset = min((f for (f, _), _ in objective_items), default=0)
     return (n_frames, offset, _normalize(objective_items, offset), variant,
             limit)
@@ -96,81 +61,25 @@ def justify_key(
 
 @dataclass
 class LearnedNogoods:
-    """Shared no-good store, living on :class:`TestGenerator`."""
+    """Justification-result memo, living on :class:`TestGenerator`."""
 
     max_results: int = 512
 
-    #: blame key -> (blamed items tuple, recorded justify backtracks,
-    #: recorded CDCL counters (conflicts, learned, backjumps, clause
-    #: hits, refuted 0/1)).  The CDCL column lets a replay reproduce the
-    #: refuter's effort accounting exactly, keeping learning on/off (and
-    #: warm/cold) counter-identical outside the cache-traffic keys.
-    _blames: dict = field(default_factory=dict)
-    #: Blame keys learned locally since the last :meth:`export_records`
-    #: (what a worker still owes the coordinator).
-    _fresh: list = field(default_factory=list)
-    #: justify key -> JustResult (process-local; not shipped).
+    #: justify key -> JustResult (process-local; never shipped).
     _results: OrderedDict = field(default_factory=OrderedDict)
 
-    hits: int = 0
-    misses: int = 0
     justify_hits: int = 0
     justify_misses: int = 0
 
-    # ------------------------------------------------------------------
-    # Failure no-goods
-    # ------------------------------------------------------------------
-    def lookup_blame(self, key):
-        """The recorded (blamed, backtracks, cdcl) for ``key``, or
-        ``None``."""
-        entry = self._blames.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
-
-    def record_blame(
-        self,
-        key,
-        blamed,
-        backtracks: int,
-        cdcl: tuple = (0, 0, 0, 0, 0),
-        deadline_hit: bool = False,
-    ) -> None:
-        """Record a localized failure.
-
-        The taint rule is enforced here, uniformly for every call site:
-        a search (or blame pass) cut short by the deadline never learns,
-        because its blamed set is best-effort and wall-clock dependent —
-        the same rule :meth:`cached_justify` and :meth:`PathCache.store`
-        apply.
-        """
-        if deadline_hit:
-            return
-        if key in self._blames:
-            return
-        self._blames[key] = (tuple(blamed), backtracks, tuple(cdcl))
-        self._fresh.append(key)
-
-    def __len__(self) -> int:
-        return len(self._blames)
-
     def stats(self) -> dict[str, int]:
-        """Hit/miss/occupancy counters for the two memo layers (the
-        campaign service's ``/metrics`` reads these)."""
+        """Hit/miss/occupancy counters (the campaign service's
+        ``/metrics`` reads these)."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "records": len(self._blames),
             "justify_hits": self.justify_hits,
             "justify_misses": self.justify_misses,
             "justify_entries": len(self._results),
         }
 
-    # ------------------------------------------------------------------
-    # Justification result memo
-    # ------------------------------------------------------------------
     def cached_justify(self, key, compute):
         """Return the memoized :class:`JustResult` for ``key``, calling
         ``compute()`` on a miss.  Deadline-tainted results pass through
@@ -187,28 +96,6 @@ class LearnedNogoods:
             while len(self._results) > self.max_results:
                 self._results.popitem(last=False)
         return result
-
-    # ------------------------------------------------------------------
-    # Worker pooling (orchestrator transport)
-    # ------------------------------------------------------------------
-    def export_records(self) -> list:
-        """Records learned since the last export (picklable tuples)."""
-        fresh, self._fresh = self._fresh, []
-        return [(key, self._blames[key]) for key in fresh]
-
-    def all_records(self) -> list:
-        """Every record, for seeding a fresh worker."""
-        return list(self._blames.items())
-
-    def merge_records(self, records) -> int:
-        """Fold foreign records in; returns how many were new.  Merged
-        entries do not re-export (the coordinator is the fan-out hub)."""
-        added = 0
-        for key, entry in records:
-            if key not in self._blames:
-                self._blames[key] = entry
-                added += 1
-        return added
 
 
 @dataclass

@@ -31,12 +31,7 @@ from repro.core.clauses import ClauseDB
 from repro.core.ctrljust import CtrlJust, JustResult, JustStatus
 from repro.core.dprelax import DiscreteRelaxer
 from repro.core.dptrace import DPTrace, TraceStatus
-from repro.core.nogoods import (
-    LearnedNogoods,
-    PathCache,
-    blame_key,
-    justify_key,
-)
+from repro.core.nogoods import LearnedNogoods, PathCache, justify_key
 from repro.errors.models import DesignError
 from repro.model.processor import Processor
 from repro.verify.cosim import (
@@ -121,11 +116,9 @@ class TGResult:
     #: a justified DPTRACE/CTRLJUST pair — the justify-variant retry
     #: heuristic keys off this.
     last_attempt_justified: bool = False
-    #: Search-accelerator traffic for this error: learned-nogood and
-    #: path-set cache hits/misses, memoized justification answers, and
-    #: full C/O sweeps the incremental DPTRACE session avoided.
-    nogood_hits: int = 0
-    nogood_misses: int = 0
+    #: Search-accelerator traffic for this error: memoized justification
+    #: answers, path-set cache hits/misses, and full C/O sweeps the
+    #: incremental DPTRACE session avoided.
     justify_cache_hits: int = 0
     path_cache_hits: int = 0
     path_cache_misses: int = 0
@@ -141,7 +134,7 @@ class TGResult:
     clause_hits: int = 0
     refuted_unjustifiable: int = 0
     #: The abort was forced by the per-error CPU deadline.  Tainted
-    #: results never learn (see ``nogoods.record_blame``).
+    #: results are never memoized (see ``repro.core.nogoods``).
     deadline_hit: bool = False
 
 
@@ -176,12 +169,6 @@ class TestGenerator:
     #: Event-driven incremental C/O propagation in DPTRACE (the default);
     #: ``False`` re-sweeps the window per decision — the reference oracle.
     use_incremental_dptrace: bool = True
-    #: Cross-error search memoization: learned no-goods, memoized
-    #: justification answers and the per-window path-set cache.  All
-    #: three are outcome-transparent (keys capture everything the
-    #: deterministic searches depend on; hits replay recorded effort
-    #: counters), so disabling them changes wall clock only.
-    use_learned_nogoods: bool = True
     #: Conflict-driven clause learning in CTRLJUST: a CDCL probe tries to
     #: *refute* each justification question before the chronological
     #: search runs, and completed proofs persist as unjustifiability
@@ -196,15 +183,6 @@ class TestGenerator:
     #: on a *justifiable* question burns its whole budget before giving
     #: up, so the limit is the probe's overhead cap.
     refute_conflict_limit: int = 24
-    #: Conflict-directed backjumping inside the CTRLJUST search loop:
-    #: conflicts are explained as the decision set supporting them, and an
-    #: exhausted decision jumps straight to the deepest implicated level.
-    #: Decisions, verdicts and SUCCESS assignments are identical to the
-    #: chronological unwind (skipped subtrees are semantic nogoods); only
-    #: backtrack counts shrink, so this is a pure search-effort knob kept
-    #: separate from ``use_clause_learning`` to preserve that toggle's
-    #: byte-identical on/off contract.
-    use_backjumping: bool = True
     #: Run exposure checks on the compiled datapath kernels, screening the
     #: bad-machine co-simulation with a cone fork against the golden trace
     #: (:mod:`repro.datapath.faultsim`).  ``False`` restores the fully
@@ -225,10 +203,11 @@ class TestGenerator:
     _fork_sims: dict = field(default_factory=dict, repr=False)
     _fork_checks: int = field(default=0, repr=False)
     _fork_decided: int = field(default=0, repr=False)
-    #: Cross-error learned no-goods + memoized justification answers;
-    #: shared across ``generate()`` calls (one store per generator, so a
-    #: campaign's serial loop pools learning automatically) and shipped
-    #: between orchestrator workers as plain records.
+    #: Memoized justification answers, shared across ``generate()`` calls
+    #: (one store per generator, so a campaign's serial loop and a warm
+    #: service campaign reuse them across errors).  Outcome-transparent,
+    #: like the path cache below: a zero-capacity store recomputes every
+    #: answer and changes wall clock only.
     nogoods: LearnedNogoods = field(
         default_factory=LearnedNogoods, repr=False
     )
@@ -289,8 +268,8 @@ class TestGenerator:
         base_hits, base_misses = self._golden.hits, self._golden.misses
         base_forks, base_decided = self._fork_checks, self._fork_decided
         nogoods, cache = self.nogoods, self._path_cache
-        base_ng = (nogoods.hits, nogoods.misses, nogoods.justify_hits,
-                   cache.hits, cache.misses, self._sweeps_avoided)
+        base_ng = (nogoods.justify_hits, cache.hits, cache.misses,
+                   self._sweeps_avoided)
         try:
             for n_frames in range(self.min_frames, self.max_frames + 1):
                 for act_frame in range(n_frames - 1, -1, -1):
@@ -329,13 +308,11 @@ class TestGenerator:
             result.golden_misses = self._golden.misses - base_misses
             result.exposure_forks = self._fork_checks - base_forks
             result.exposure_fork_decided = self._fork_decided - base_decided
-            result.nogood_hits = nogoods.hits - base_ng[0]
-            result.nogood_misses = nogoods.misses - base_ng[1]
-            result.justify_cache_hits = nogoods.justify_hits - base_ng[2]
-            result.path_cache_hits = cache.hits - base_ng[3]
-            result.path_cache_misses = cache.misses - base_ng[4]
+            result.justify_cache_hits = nogoods.justify_hits - base_ng[0]
+            result.path_cache_hits = cache.hits - base_ng[1]
+            result.path_cache_misses = cache.misses - base_ng[2]
             result.dptrace_sweeps_avoided = (
-                self._sweeps_avoided - base_ng[5]
+                self._sweeps_avoided - base_ng[3]
             )
 
     def _site_net(self, error: DesignError) -> str:
@@ -387,49 +364,6 @@ class TestGenerator:
             accumulated.update(trace.ctrl_objectives)
             control_side_acc |= set(trace.control_side)
             accumulated_items = tuple(accumulated.items())
-            nogood = None
-            if self.use_learned_nogoods:
-                bkey = blame_key(
-                    n_frames, accumulated_items,
-                    tuple(trace.ctrl_objectives.items()),
-                    trace.control_side, justify_variant,
-                    (self.ctrljust_backtrack_limit,
-                     self._blame_backtrack_limit()),
-                )
-                nogood = self.nogoods.lookup_blame(bkey)
-                if (
-                    nogood is not None
-                    and self.use_clause_learning
-                    and self.clauses.lookup(
-                        n_frames, accumulated_items
-                    ) is not None
-                ):
-                    # Certificates outrank the blame replay, exactly as
-                    # they precede the memo inside ``_justify``: a
-                    # recompute would refute via the certificate at zero
-                    # search cost, so replaying the (pre-certificate)
-                    # recorded effort would break the no-goods on/off
-                    # counter identity.  Take the live path instead.
-                    nogood = None
-            if nogood is not None:
-                # A previous error already proved this objective set
-                # unjustifiable and localized the conflict: replay the
-                # recorded outcome (backtracks included) without running
-                # CTRLJUST or the blame probes at all.
-                blamed, recorded_backtracks, recorded_cdcl = nogood
-                result.ctrljust_backtracks += recorded_backtracks
-                result.backtracks += recorded_backtracks
-                result.conflicts += recorded_cdcl[0]
-                result.learned_clauses += recorded_cdcl[1]
-                result.backjumps += recorded_cdcl[2]
-                result.clause_hits += recorded_cdcl[3]
-                result.refuted_unjustifiable += recorded_cdcl[4]
-                for item in blamed:
-                    discouraged.add(item)
-                accumulated = {}
-                implied_ctrl = {}
-                variant += 1
-                continue
             objectives = [
                 (unrolled.instance(frame, name), value)
                 for (frame, name), value in accumulated_items
@@ -453,27 +387,11 @@ class TestGenerator:
                 # discourage only that one; then re-select on a rotated
                 # ordering from a clean slate.
                 phase_start = clock.cpu_time()
-                blamed, tainted = self._blame(
+                discouraged.update(self._blame(
                     unrolled, trace.ctrl_objectives, justify_variant,
                     set(trace.control_side), deadline_at,
-                )
-                for item in blamed:
-                    discouraged.add(item)
+                ))
                 self._phase(result, "ctrljust", phase_start)
-                if self.use_learned_nogoods:
-                    # The taint guard lives inside record_blame so every
-                    # call site applies the same rule: a deadline-cut
-                    # search never learns (best-effort blame could pin
-                    # the wrong objective).
-                    self.nogoods.record_blame(
-                        bkey, blamed, just.backtracks,
-                        cdcl=(
-                            just.conflicts, just.learned_clauses,
-                            just.backjumps, just.clause_hits,
-                            int(just.refuted),
-                        ),
-                        deadline_hit=tainted or just.deadline_hit,
-                    )
                 accumulated = {}
                 implied_ctrl = {}
                 variant += 1
@@ -607,17 +525,15 @@ class TestGenerator:
         hit replays the identical :class:`TraceResult` (and its recorded
         avoided-sweep count); deadline-cut failures are never stored.
         """
-        key = None
-        if self.use_learned_nogoods:
-            key = PathCache.key(
-                n_frames, site, act_frame, implied_ctrl, discouraged,
-                variant, self.dptrace_backtrack_limit,
-            )
-            entry = self._path_cache.lookup(key)
-            if entry is not None:
-                trace, sweeps_avoided = entry
-                self._sweeps_avoided += sweeps_avoided
-                return trace
+        key = PathCache.key(
+            n_frames, site, act_frame, implied_ctrl, discouraged,
+            variant, self.dptrace_backtrack_limit,
+        )
+        entry = self._path_cache.lookup(key)
+        if entry is not None:
+            trace, sweeps_avoided = entry
+            self._sweeps_avoided += sweeps_avoided
+            return trace
         tracer = DPTrace(
             analyzer, implied_ctrl,
             max_backtracks=self.dptrace_backtrack_limit,
@@ -630,12 +546,8 @@ class TestGenerator:
         trace = tracer.select_paths(site, act_frame)
         self._phase(result, "dptrace", phase_start)
         self._sweeps_avoided += tracer.sweeps_avoided
-        if key is not None:
-            self._path_cache.store(key, trace, tracer.sweeps_avoided)
+        self._path_cache.store(key, trace, tracer.sweeps_avoided)
         return trace
-
-    def _blame_backtrack_limit(self) -> int:
-        return max(200, self.ctrljust_backtrack_limit // 4)
 
     def _justify(
         self, unrolled, objectives, key_items, justify_variant, limit,
@@ -643,22 +555,20 @@ class TestGenerator:
     ):
         """CTRLJUST with certificates and the result memo in front.
 
-        The certificate check runs first, *before* the memo and the blame
-        no-goods: a stored unjustifiability core that is a subset of the
-        question's objectives refutes it outright — for any variant or
-        limit, since unjustifiability is a property of the objective set
-        alone.  Checking certificates ahead of every replay layer keeps
-        the accelerators' effort accounting consistent with a recompute
-        (once a core is known, both paths answer "refuted, zero
-        backtracks").
+        One replay layer per question, in order: certificate, memo,
+        search.  The certificate check runs first: a stored
+        unjustifiability core that is a subset of the question's
+        objectives refutes it outright — for any variant or limit, since
+        unjustifiability is a property of the objective set alone — so a
+        memo hit and a recompute both answer "refuted, zero backtracks"
+        once a core is known.
 
         Certificates are (re-)asserted from the *returned* result — after
         the memo, so a replayed answer teaches the same certificate a
         recompute would.  ``learn_certs=False`` (the blame probes) skips
-        the assertion entirely: blame results replay wholesale from the
-        no-good store without re-running their probe sequence, so any
-        certificate learned under a probe would exist only on the
-        recompute side and break the on/off outcome identity.
+        the assertion: the probes only localize a conflict the full
+        question already established, so the certificate store holds
+        proofs of the questions TG actually posed.
         """
         if self.use_clause_learning:
             cert = self.clauses.lookup(unrolled.n_frames, key_items)
@@ -689,12 +599,11 @@ class TestGenerator:
                 incremental=self.use_incremental_implication,
                 deadline=deadline_at,
                 refute_conflicts=refute_budget,
-                backjump=self.use_backjumping,
             )
             result = engine.justify(objectives)
             if recorded is not None:
                 # Replay the skipped probe's effort so counters match a
-                # recompute exactly (the same contract as a no-good hit).
+                # recompute exactly (the same contract as a memo hit).
                 result.conflicts += recorded[0]
                 result.learned_clauses += recorded[1]
                 result.backjumps += recorded[2]
@@ -709,13 +618,8 @@ class TestGenerator:
                 )
             return result
 
-        if not self.use_learned_nogoods:
-            result = compute()
-        else:
-            key = justify_key(
-                unrolled.n_frames, key_items, justify_variant, limit
-            )
-            result = self.nogoods.cached_justify(key, compute)
+        key = justify_key(unrolled.n_frames, key_items, justify_variant, limit)
+        result = self.nogoods.cached_justify(key, compute)
         if (
             learn_certs
             and self.use_clause_learning
@@ -749,7 +653,7 @@ class TestGenerator:
         justify_variant: int,
         control_side: set | None = None,
         deadline_at: float | None = None,
-    ) -> tuple[list, bool]:
+    ) -> list:
         """Greedy conflict localization after a CTRLJUST failure.
 
         Objectives are added one at a time (in selection order) until the
@@ -760,11 +664,10 @@ class TestGenerator:
         blamed instead.  Falls back to blaming everything when even single
         objectives justify (a genuinely joint conflict).
 
-        Returns ``(blamed items, tainted)`` — tainted when the deadline
-        cut a probe short, so the (best-effort) result must not be
-        learned as a no-good.
+        A probe cut short by the deadline ends the pass with a
+        best-effort culprit.
         """
-        limit = self._blame_backtrack_limit()
+        limit = max(200, self.ctrljust_backtrack_limit // 4)
 
         def justify(instances, key_items) -> bool | None:
             just = self._justify(
@@ -781,7 +684,7 @@ class TestGenerator:
             prefix.append((unrolled.instance(frame, name), value))
             verdict = justify(prefix, items[: index + 1])
             if verdict is None:
-                return items[: index + 1], True
+                return items[: index + 1]
             if verdict:
                 continue
             # Prefer re-blaming an earlier flexible decision over the one
@@ -796,11 +699,11 @@ class TestGenerator:
                     trimmed, items[:j] + items[j + 1: index + 1]
                 )
                 if verdict is None:
-                    return [((frame, name), value)], True
+                    return [((frame, name), value)]
                 if verdict:
-                    return [items[j]], False
-            return [((frame, name), value)], False
-        return items, False  # joint conflict: no single culprit found
+                    return [items[j]]
+            return [((frame, name), value)]
+        return items  # joint conflict: no single culprit found
 
     def _bind_cpi_dpi(self, relaxer: DiscreteRelaxer, decided_cpi) -> None:
         """Pin DPI nets bound to CPI fields the controller search decided."""

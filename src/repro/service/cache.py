@@ -1,9 +1,9 @@
 """Warm per-machine-identity campaign state shared across service requests.
 
-Every accelerator the repo has grown — learned no-goods, CDCL
-unjustifiability certificates (``repro.core.clauses``), the golden-trace
-cache, the path-set cache, memoized justification answers, compiled
-implication networks and datapath kernels — lives on (or hangs off) one
+Every accelerator the repo has grown — memoized justification answers,
+CDCL unjustifiability certificates (``repro.core.clauses``), the
+golden-trace cache, the path-set cache, compiled implication networks
+and datapath kernels — lives on (or hangs off) one
 :class:`~repro.campaign.runner.CampaignBase` instance: the generator owns
 the memo stores, and the compiled structures are cached on the processor's
 netlist/controller objects the campaign pins.  A CLI invocation rebuilds
@@ -17,13 +17,12 @@ hit/miss split moves, and :class:`WarmCacheRegistry` accounts for exactly
 that: each lease snapshots the counters before and after the request, the
 per-request delta lands on the job status, and ``/metrics`` exposes the
 cumulative per-machine picture including ``warm_requests`` (requests that
-started with a non-empty store — the cross-request wins the ISSUE asks
-for).
+started with a non-empty store — the cross-request wins).
 
 Sharded runs (``jobs > 1``) still rebuild worker processes cold, but the
-coordinator side of the pool *is* the warm campaign: its pooled no-good
-store seeds every dispatch (``nogood_records_to_wire``), so learned
-records cross both worker and request boundaries.
+coordinator side of the pool *is* the warm campaign: its pooled
+certificate store seeds every dispatch (``clause_records_to_wire``), so
+refutation certificates cross both worker and request boundaries.
 
 Concurrency: one lease per machine identity at a time (an ``asyncio``
 lock), because the underlying stores are plain dicts mutated by the
@@ -57,7 +56,6 @@ def generator_cache_counters(generator) -> dict[str, dict[str, int]]:
 
 def _store_sizes(generator) -> dict[str, int]:
     return {
-        "nogood_records": len(generator.nogoods),
         "golden_traces": len(generator._golden),
         "path_entries": len(generator._path_cache),
         "clause_records": len(generator.clauses),

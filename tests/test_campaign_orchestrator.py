@@ -190,11 +190,12 @@ def test_resume_skips_completed_and_reproduces_report(tmp_path):
     ).run(ERRORS)
 
     # Simulate a killed run: keep only the first two checkpoint records,
-    # the first as the previous release wrote it, with the counters of
-    # its since-retired restart search and deadline bank.
+    # the first as earlier releases wrote it, with the counters of the
+    # since-retired restart search, deadline bank and blame no-good store.
     lines = open(path).read().splitlines()
     parent = json.loads(lines[0])
-    parent["outcome"].update(restarts=0, deadline_grant=10.0)
+    parent["outcome"].update(restarts=0, deadline_grant=10.0,
+                             nogood_hits=3, nogood_misses=5)
     with open(path, "w") as handle:
         handle.write("\n".join([json.dumps(parent), lines[1]]) + "\n")
 
@@ -303,15 +304,14 @@ def test_interrupt_parallel_run_leaves_tail_unattempted(tmp_path):
 def test_worker_entry_points_in_process():
     """The pool worker functions themselves, run in-process."""
     _worker_init("mini", 10.0)
-    index, outcome_dict, test, learned, learned_clauses = _worker_run(
-        (7, ERRORS[0], [], [])
+    index, outcome_dict, test, learned_clauses = _worker_run(
+        (7, ERRORS[0], [])
     )
     assert index == 7
     assert outcome_dict["detected"]
     assert outcome_dict["error"] == ERRORS[0].describe()
     assert test["kind"] == "mini-test"
     assert len(test["program"]) == outcome_dict["test_length"]
-    assert isinstance(learned, list)
     assert isinstance(learned_clauses, list)
 
 

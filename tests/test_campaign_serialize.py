@@ -88,10 +88,12 @@ def test_report_roundtrip():
     assert rebuilt.outcomes[0].final_backtracks == 2
     assert rebuilt.table1() == report.table1()
 
-    # Reports of the previous release carry counters of its since-retired
-    # restart search and deadline bank; they still load.
+    # Reports of earlier releases carry counters of the since-retired
+    # restart search, deadline bank and blame no-good store; they still
+    # load.
     data = report_to_dict(report)
-    data["outcomes"][0].update(restarts=0, deadline_grant=10.0)
+    data["outcomes"][0].update(restarts=0, deadline_grant=10.0,
+                               nogood_hits=3, nogood_misses=5)
     assert report_from_dict(data).table1() == report.table1()
 
 

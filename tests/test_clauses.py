@@ -12,9 +12,6 @@ Three layers, matching :mod:`repro.core.clauses`:
 * :class:`ClauseDB` — subset (subsumption) lookup, idempotent insert,
   deterministic eviction, and the frame-offset-normalized wire format
   used to pool certificates across orchestrator workers.
-
-The deadline-taint rule for blame no-goods (enforced centrally in
-``LearnedNogoods.record_blame``) gets its regression test here too.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from repro.campaign.serialize import (
 )
 from repro.core.clauses import CdclRefuter, ClauseDB, one_uip
 from repro.core.ctrljust import CtrlJust, JustStatus
-from repro.core.nogoods import LearnedNogoods, blame_key
 from repro.mini.machine import build_minipipe
 
 N_FRAMES = 4
@@ -295,18 +291,3 @@ def test_clause_records_wire_roundtrip_and_merge():
         clause_records_to_wire(exported)
     ) == [records[0]]
     assert native.export_records() == []
-
-
-# ----------------------------------------------------------------------
-# Satellite regression: deadline taint is enforced inside record_blame
-# ----------------------------------------------------------------------
-def test_record_blame_taint_rule_is_centralized():
-    items = (((1, "alu_op"), 1),)
-    key = blame_key(4, items, items, set(), 0, (2000, 500))
-    store = LearnedNogoods()
-    store.record_blame(key, [items[0]], 42, cdcl=(1, 1, 0, 0, 1),
-                       deadline_hit=True)
-    assert store.lookup_blame(key) is None  # tainted: nothing stored
-    assert store.export_records() == []  # and nothing pooled to workers
-    store.record_blame(key, [items[0]], 42, cdcl=(1, 1, 0, 0, 1))
-    assert store.lookup_blame(key) == ((items[0],), 42, (1, 1, 0, 0, 1))

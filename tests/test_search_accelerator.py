@@ -1,17 +1,18 @@
 """Differential pinning of the TG search accelerators.
 
-Three accelerators (incremental C/O propagation in DPTRACE, learned
-no-goods + memoized justifications in CTRLJUST, the per-window path-set
-cache) claim to be *outcome-transparent*: turning them on changes wall
-clock only, never a search result.  These tests enforce that claim
+Three accelerators (incremental C/O propagation in DPTRACE, memoized
+justifications in CTRLJUST, the per-window path-set cache) claim to be
+*outcome-transparent*: turning them on changes wall clock only, never a
+search result.  These tests enforce that claim
 against the interpretive oracles:
 
 * random assume/retract walks on :class:`AnalyzerSession` must equal a
   full ``analyzer.compute`` of the same assignment at every checkpoint;
 * ``DPTrace(incremental=True)`` must produce bit-identical
   :class:`TraceResult`\\ s to the full-recompute path;
-* ``TestGenerator`` with learning on must produce identical outcomes
-  and backtrack statistics to learning off, on MiniPipe and DLX;
+* ``TestGenerator`` with its memo stores must produce identical
+  outcomes and backtrack statistics to zero-capacity stores (recompute
+  every answer), on MiniPipe and DLX;
 * deadline-tainted results must never enter any cache, and deadlines
   must abort promptly (the PR's deadline-threading bugfix).
 """
@@ -28,12 +29,7 @@ from hypothesis import strategies as st
 from repro.core import clock
 from repro.core.ctrljust import CtrlJust, JustResult, JustStatus
 from repro.core.dptrace import DPTrace, TraceResult, TraceStatus
-from repro.core.nogoods import (
-    LearnedNogoods,
-    PathCache,
-    blame_key,
-    justify_key,
-)
+from repro.core.nogoods import LearnedNogoods, PathCache, justify_key
 from repro.core.tg import TestGenerator, TGStatus
 from repro.errors.models import enumerate_bus_ssl
 from repro.mini.machine import build_minipipe
@@ -157,17 +153,20 @@ def _generate_all(processor, errors, **knobs):
     return generator, results
 
 
+def _no_memo():
+    """Generator knobs for the recompute-every-time oracle arm: memo
+    stores with zero capacity, so every question is searched afresh."""
+    return dict(nogoods=LearnedNogoods(max_results=0),
+                _path_cache=PathCache(max_entries=0))
+
+
 def test_tg_learning_on_off_identical_mini(mini):
     """Learning/caching changes wall clock only, never an outcome."""
     errors = enumerate_bus_ssl(mini.datapath, stages={1, 2})[::8]
     assert len(errors) >= 10
-    accel, on = _generate_all(
-        mini, errors,
-        use_learned_nogoods=True, use_incremental_dptrace=True,
-    )
+    accel, on = _generate_all(mini, errors, use_incremental_dptrace=True)
     _, off = _generate_all(
-        mini, errors,
-        use_learned_nogoods=False, use_incremental_dptrace=False,
+        mini, errors, use_incremental_dptrace=False, **_no_memo(),
     )
     assert on == off
     # The accelerators actually engaged (else this test proves nothing).
@@ -181,13 +180,9 @@ def test_tg_learning_on_off_identical_dlx_spot():
 
     processor = build_dlx()
     errors = enumerate_bus_ssl(processor.datapath, stages={2})[:2]
-    _, on = _generate_all(
-        processor, errors,
-        use_learned_nogoods=True, use_incremental_dptrace=True,
-    )
+    _, on = _generate_all(processor, errors, use_incremental_dptrace=True)
     _, off = _generate_all(
-        processor, errors,
-        use_learned_nogoods=False, use_incremental_dptrace=False,
+        processor, errors, use_incremental_dptrace=False, **_no_memo(),
     )
     assert on == off
 
@@ -195,8 +190,8 @@ def test_tg_learning_on_off_identical_dlx_spot():
 def _outcome_fields(results):
     """Outcome-only projection of ``_generate_all`` rows: error, status,
     dptrace backtracks, attempts, frames and the final test — everything
-    except the CTRLJUST effort counters, which clause learning and
-    backjumping are *allowed* (indeed expected) to shrink."""
+    except the CTRLJUST effort counters, which clause learning is
+    *allowed* (indeed expected) to shrink."""
     return [
         (error, status, dpt, attempts, frames, test)
         for (error, status, _bt, dpt, _cj, _fin, attempts, frames, test)
@@ -231,23 +226,6 @@ def test_tg_clause_learning_on_off_identical_outcomes_dlx():
     # being exhausted twice.
     assert accel.clauses.added > 0
     assert sum(r[4] for r in on) < sum(r[4] for r in off)
-
-
-def test_tg_backjumping_verdict_identity(mini):
-    """CBJ skips refuted subtrees only: same decisions, same verdicts,
-    same tests — with and without backjumping, on both machines."""
-    from repro.dlx.machine import build_dlx
-
-    errors = enumerate_bus_ssl(mini.datapath, stages={1, 2})[::8]
-    _, on = _generate_all(mini, errors, use_backjumping=True)
-    _, off = _generate_all(mini, errors, use_backjumping=False)
-    assert _outcome_fields(on) == _outcome_fields(off)
-
-    processor = build_dlx()
-    errors = enumerate_bus_ssl(processor.datapath, stages={2})[:2]
-    _, on = _generate_all(processor, errors, use_backjumping=True)
-    _, off = _generate_all(processor, errors, use_backjumping=False)
-    assert _outcome_fields(on) == _outcome_fields(off)
 
 
 def test_tgresult_exposes_last_attempt_justified(mini):
@@ -291,16 +269,14 @@ def test_engine_deadline_flags(mini, analyzer):
 
 def test_restart_taint_never_commits_activity(mini):
     """The deadline-taint rule covers every search mode: a CTRLJUST
-    attempt cut short by the CPU deadline, with the CDCL probe and
-    backjumping on, surfaces as a tainted FAILURE that neither the
-    justify cache nor the blame store commits."""
+    attempt cut short by the CPU deadline, with the CDCL probe on,
+    surfaces as a tainted FAILURE that the justify cache does not
+    commit."""
     unrolled = mini.controller.unroll(N_FRAMES)
     past = clock.cpu_time() - 1.0
     ctrl = sorted(mini.controller.ctrl_signals)[0]
     objectives = [(unrolled.instance(1, ctrl), 1)]
-    search = CtrlJust(
-        unrolled, deadline=past, refute_conflicts=50, backjump=True
-    )
+    search = CtrlJust(unrolled, deadline=past, refute_conflicts=50)
     store = LearnedNogoods()
     key = justify_key(4, (((1, "op"), 1),), 0, 100)
     just = store.cached_justify(key, lambda: search.justify(objectives))
@@ -309,10 +285,6 @@ def test_restart_taint_never_commits_activity(mini):
     # Nothing was cached: the next call recomputes.
     clean = JustResult(JustStatus.FAILURE)
     assert store.cached_justify(key, lambda: clean) is clean
-    # ... and record_blame refuses tainted learning under the same rule.
-    nogoods = LearnedNogoods()
-    nogoods.record_blame(key, [], 5, deadline_hit=True)
-    assert len(nogoods) == 0
 
 
 def test_deadlines_read_the_thread_cpu_clock(mini, monkeypatch):
@@ -350,42 +322,6 @@ def test_tainted_results_never_cached():
     pkey = PathCache.key(4, "net", 1, {}, set(), 0, 100)
     cache.store(pkey, trace, 0)
     assert cache.lookup(pkey) is None
-
-
-def test_nogood_records_roundtrip_and_pooling():
-    from repro.campaign.serialize import (
-        nogood_records_from_wire,
-        nogood_records_to_wire,
-    )
-
-    items = (((2, "alu_op"), 1), ((3, "wb_sel"), 0))
-    key = blame_key(6, items, items, {items[0]}, 1, (2000, 500))
-    store = LearnedNogoods()
-    assert store.lookup_blame(key) is None  # miss counted
-    store.record_blame(key, [items[0]], 1234, cdcl=(7, 3, 2, 1, 1))
-    assert store.lookup_blame(key) == ((items[0],), 1234, (7, 3, 2, 1, 1))
-    assert store.hits == 1 and store.misses == 1
-
-    wire = nogood_records_to_wire(store.export_records())
-    # Exported records drain: nothing left to report.
-    assert store.export_records() == []
-    decoded = nogood_records_from_wire(wire)
-    other = LearnedNogoods()
-    assert other.merge_records(decoded) == 1
-    assert other.lookup_blame(key) == ((items[0],), 1234, (7, 3, 2, 1, 1))
-    # Pre-CDCL rows (three columns) decode with zeroed counters.
-    legacy_key = blame_key(6, items, items, set(), 2, (2000, 500))
-    legacy = nogood_records_from_wire(
-        [[row[0] if i == 0 else row[i] for i in range(3)]
-         for row in nogood_records_to_wire(
-             [(legacy_key, ((items[1],), 9, (0, 0, 0, 0, 0)))]
-         )]
-    )
-    assert legacy == [(legacy_key, ((items[1],), 9, (0, 0, 0, 0, 0)))]
-    # Merged (foreign) records do not re-export.
-    assert other.export_records() == []
-    # Re-merge is idempotent.
-    assert other.merge_records(decoded) == 0
 
 
 @settings(max_examples=15, deadline=None)
